@@ -106,6 +106,11 @@ def _check_indices(indices, n_barriers):
     return idx
 
 
+def _columns(indices, n_barriers):
+    """0-based positions of validated 1-based CBF indices."""
+    return [i - 1 for i in _check_indices(indices, n_barriers)]
+
+
 @dataclass(frozen=True)
 class CertificateSet:
     """A CLF (optional, absent exactly in safety-filter mode) plus N >= 1 CBFs.
@@ -114,6 +119,13 @@ class CertificateSet:
     i+1.  When the CLF is absent, V, its gradient and Hessian evaluate to
     zero and gamma evaluates to the zero function — exactly the
     safety-filter substitution V = 0.
+
+    The barriers are also held as read-only stacked arrays, built once:
+    ``shapes`` (N, n, n), ``centers`` (N, n), ``offsets`` (N,) and the
+    class-K gains ``alpha_gains`` (N,).  Barrier values, gradients and
+    margins at a state come from one pair of einsums over them, and the
+    margins are ``alpha_gains * h`` because every class-K function here is
+    linear.
     """
 
     cbfs: Tuple[QuadraticCertificate, ...]
@@ -147,14 +159,23 @@ class CertificateSet:
                 raise DimensionMismatchError("CLF dimension differs from CBFs")
         object.__setattr__(self, "cbfs", cbfs)
         object.__setattr__(self, "alphas", alphas)
+        stacked = {
+            "shapes": np.array([b.shape for b in cbfs]),
+            "centers": np.array([b.center for b in cbfs]),
+            "offsets": np.array([b.offset for b in cbfs]),
+            "alpha_gains": np.array([a.gain for a in alphas]),
+        }
+        for name, arr in stacked.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self):
-        return self.cbfs[0].n
+        return self.centers.shape[1]
 
     @property
     def n_barriers(self):
-        return len(self.cbfs)
+        return self.centers.shape[0]
 
     @property
     def has_clf(self):
@@ -188,8 +209,14 @@ class CertificateSet:
         (i,) = _check_indices((i,), self.n_barriers)
         return self.cbfs[i - 1]
 
+    def values_and_gradients(self, x):
+        """(h, U): all N barrier values and the (n, N) gradient columns at x."""
+        d = np.asarray(x, dtype=float).ravel() - self.centers
+        Sd = np.einsum("kij,kj->ki", self.shapes, d)
+        return np.einsum("ki,ki->k", d, Sd) + self.offsets, 2.0 * Sd.T
+
     def barrier_values(self, x):
-        return np.array([b.value(x) for b in self.cbfs])
+        return self.values_and_gradients(x)[0]
 
     def stacked_gradients(self, x, indices=None):
         """Gradient columns [grad h_{a_1} .. grad h_{a_r}] as an (n, r) matrix.
@@ -197,25 +224,20 @@ class CertificateSet:
         ``indices`` is an ordered sequence of 1-based CBF indices; all N in
         natural order when omitted.  Column order follows ``indices``.
         """
+        U = self.values_and_gradients(x)[1]
         if indices is None:
-            indices = range(1, self.n_barriers + 1)
-        idx = _check_indices(indices, self.n_barriers)
-        if not idx:
-            return np.zeros((self.n, 0))
-        return np.column_stack([self.cbfs[i - 1].gradient(x) for i in idx])
+            return U
+        return U[:, _columns(indices, self.n_barriers)]
 
     def alpha_vector(self, x, indices=None):
         """Stacked margins (alpha_{a_i}(h_{a_i}(x)))_i for the given indices."""
+        alpha = self.alpha_gains * self.barrier_values(x)
         if indices is None:
-            indices = range(1, self.n_barriers + 1)
-        idx = _check_indices(indices, self.n_barriers)
-        return np.array(
-            [self.alphas[i - 1].value(self.cbfs[i - 1].value(x)) for i in idx])
+            return alpha
+        return alpha[_columns(indices, self.n_barriers)]
 
     def alpha_slopes(self, x, indices=None):
         """Stacked derivatives alpha'_{a_i}(h_{a_i}(x)); all positive."""
         if indices is None:
-            indices = range(1, self.n_barriers + 1)
-        idx = _check_indices(indices, self.n_barriers)
-        return np.array(
-            [self.alphas[i - 1].slope(self.cbfs[i - 1].value(x)) for i in idx])
+            return self.alpha_gains.copy()
+        return self.alpha_gains[_columns(indices, self.n_barriers)]

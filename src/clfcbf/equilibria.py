@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DimensionMismatchError, InfeasibleQPError, InvalidParameterError
 from .qp import CLF_ROW, _PointData, closed_loop_field, solve_pointwise
@@ -170,6 +169,9 @@ def _newton(F, J, z0, tol_res, tol_step, max_iter, max_halvings):
 
 def _lambda_seed(d, cols, p):
     """Nonnegative least-squares fit of G U_A lam ~ p gamma(V) G grad V - f_nom."""
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import nnls
+
     target = p * d.gamma_val * (d.G @ d.gradV) - d.f_nom
     basis = d.G @ d.U[:, cols]
     try:
@@ -283,15 +285,15 @@ def validate_equilibrium(problem, report):
     """
     tol = problem.tolerances
     x_e = report.x_e
-    d = _PointData(problem, x_e)
     expected = frozenset((CLF_ROW,) + report.indices)
     reason = None
     try:
         sol = solve_pointwise(problem, x_e)
     except InfeasibleQPError as err:
         return replace(report, validated=False, failure_reason=str(err))
+    h = problem.certificates.barrier_values(x_e)
     inactive = [j for j in range(1, problem.n_barriers + 1) if j not in report.indices]
-    if any(d.h[j - 1] < -tol.active for j in inactive):
+    if any(h[j - 1] < -tol.active for j in inactive):
         reason = "root lies outside the safe set (inactive barrier negative)"
     elif sol.active_set != expected:
         reason = (f"QP active set {sorted(sol.active_set)} != expected "

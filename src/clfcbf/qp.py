@@ -173,6 +173,9 @@ class QpSolution:
     i >= 1 is CBF i.  ``lam`` always has length N with zeros at inactive
     entries.  ``kkt_residual`` is the largest violation among stationarity,
     primal feasibility, dual feasibility and complementary slackness.
+    ``xdot`` is the closed-loop field f + g u* at the solved state,
+    assembled from the multipliers as f_nom + G (-lambda0 grad V + U lam)
+    in the same pass that built the solution.
     """
 
     u_star: np.ndarray
@@ -181,6 +184,7 @@ class QpSolution:
     lam: np.ndarray
     active_set: FrozenSet[int]
     kkt_residual: float
+    xdot: np.ndarray
 
     @property
     def active_mask(self):
@@ -224,9 +228,8 @@ class _PointData:
         self.V = certs.clf_value(x)
         self.gradV = certs.clf_gradient(x)
         self.gamma_val = certs.gamma_value(self.V)
-        self.h = certs.barrier_values(x)
-        self.U = certs.stacked_gradients(x)
-        self.alpha = certs.alpha_vector(x)
+        self.h, self.U = certs.values_and_gradients(x)
+        self.alpha = certs.alpha_gains * self.h
         G_gradV = self.G @ self.gradV
         self.c = 1.0 / problem.params.p + float(self.gradV @ G_gradV)
         self.gT_gradV = self.gT @ self.gradV
@@ -246,6 +249,10 @@ class _PointData:
         if indices:
             u = u + self.Hg_U[:, [i - 1 for i in indices]] @ lam_active
         return u
+
+    def closed_loop(self, lambda0, lam):
+        """Closed-loop field f_nom + G (-lambda0 grad V + U lam)."""
+        return self.f_nom + self.G @ (-lambda0 * self.gradV + self.U @ lam)
 
     def rows(self, u, delta):
         """(clf_row, cbf_rows): feasible iff all >= 0."""
@@ -380,7 +387,9 @@ def solve_pointwise(problem, x, first_guess=None):
     if first_guess is not None:
         guess = _normalize_candidate(first_guess, d.h.shape[0], clf_optional)
         if guess is not None:
-            candidates = (guess,) + tuple(c for c in candidates if c != guess)
+            # lazy: a warm hit never walks the cached enumeration
+            candidates = itertools.chain(
+                (guess,), (c for c in candidates if c != guess))
     for candidate in candidates:
         lambda0, lam_active, indices = _solve_candidate(d, candidate)
         clf_active = bool(candidate) and candidate[0] == CLF_ROW
@@ -413,6 +422,7 @@ def solve_pointwise(problem, x, first_guess=None):
             lam=lam,
             active_set=frozenset(candidate),
             kkt_residual=residual,
+            xdot=d.closed_loop(lambda0, lam),
         )
     report = check_feasibility_condition(problem, x)
     raise InfeasibleQPError(
@@ -504,6 +514,7 @@ def _solution_from_dual(problem, d, lam_bar):
         lam=lam,
         active_set=frozenset(active),
         kkt_residual=residual,
+        xdot=d.closed_loop(lambda0, lam),
     )
 
 
@@ -536,10 +547,11 @@ def check_feasibility_condition(problem, x):
 def closed_loop_field(problem, x, solution=None):
     """Closed-loop vector field f(x) + g(x) u*(x), assembled from multipliers.
 
-    Computes f_nom + G (-lambda0 grad V + U lam), which equals f + g u*
-    identically; the equality within 1e-8 is one of the audited invariants.
+    Returns ``solution.xdot``, i.e. f_nom + G (-lambda0 grad V + U lam),
+    which equals f + g u* identically; the equality within 1e-8 is one of
+    the audited invariants.  ``solution`` must be the one solved at ``x``;
+    when omitted the QP is solved at ``x`` first.
     """
-    d = _PointData(problem, x)
     if solution is None:
         solution = solve_pointwise(problem, x)
-    return d.f_nom + d.G @ (-solution.lambda0 * d.gradV + d.U @ solution.lam)
+    return solution.xdot

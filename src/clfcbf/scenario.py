@@ -68,6 +68,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: libyaml's safe loader when PyYAML was built with it (same documents,
+#: several times faster); the pure-Python one otherwise.  Dumping keeps
+#: the pure-Python dumper so reports stay byte-identical.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _pyify(value):
     """Recursively convert numpy containers/scalars to plain Python."""
@@ -482,7 +487,7 @@ def _parse_document(doc):
 def loads_scenario(text):
     """Parse and validate scenario YAML text."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -579,7 +584,7 @@ class AnalysisReport:
 
     @classmethod
     def loads(cls, text):
-        return cls.from_dict(yaml.safe_load(text))
+        return cls.from_dict(yaml.load(text, Loader=_YAML_LOADER))
 
     @classmethod
     def load(cls, path):

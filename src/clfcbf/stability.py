@@ -339,8 +339,7 @@ def classify(problem, x_e, lam, indices):
     if r == n:
         return StabilityVerdict(
             verdict="stable", mu_max=-np.inf, witness=None, spectrum=spectrum)
-    d = _PointData(problem, x_e)
-    U_A = d.U[:, [i - 1 for i in indices]]
+    U_A = problem.certificates.stacked_gradients(x_e, indices)
     B = orthogonal_complement_basis(U_A)
     J_sym = 0.5 * (bundle.J_fA + bundle.J_fA.T)
     M = B.T @ J_sym @ B

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clfcbf import CertificateSet, ClassKappa, QuadraticCertificate
+from clfcbf.certificates import MAX_BARRIERS
 from clfcbf.errors import DimensionMismatchError, InvalidParameterError
 
 
@@ -149,3 +150,67 @@ def test_clf_without_gamma_rejected():
             clf=QuadraticCertificate.clf(shape=np.eye(2), center=np.zeros(2)),
             gamma=None,
         )
+
+
+def _random_spd_set(rng, n, n_barriers):
+    cbfs = []
+    for _ in range(n_barriers):
+        B = rng.standard_normal((n, n))
+        cbfs.append(QuadraticCertificate.barrier(
+            shape=B @ B.T + 0.3 * np.eye(n), center=3.0 * rng.standard_normal(n),
+            offset=-rng.uniform(0.5, 2.0)))
+    alphas = tuple(ClassKappa(g) for g in rng.uniform(0.2, 3.0, n_barriers))
+    return CertificateSet(cbfs=tuple(cbfs), alphas=alphas)
+
+
+@pytest.mark.parametrize("n_barriers", range(1, MAX_BARRIERS + 1))
+def test_stacked_arrays_match_per_certificate_evaluation(n_barriers):
+    # The einsum path over the stacked arrays must reproduce the
+    # one-certificate-at-a-time evaluation, for every index subset order.
+    rng = np.random.default_rng([31, n_barriers])
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        cs = _random_spd_set(rng, n, n_barriers)
+        x = 3.0 * rng.standard_normal(n)
+        h_ref = np.array([b.value(x) for b in cs.cbfs])
+        U_ref = np.column_stack([b.gradient(x) for b in cs.cbfs])
+        alpha_ref = np.array([a.value(v) for a, v in zip(cs.alphas, h_ref)])
+        slope_ref = np.array([a.slope(v) for a, v in zip(cs.alphas, h_ref)])
+        # h = quadratic form + offset: scale by its terms, not by h itself
+        h_scale = np.abs(h_ref - cs.offsets) + np.abs(cs.offsets)
+        gains = np.array([a.gain for a in cs.alphas])
+        assert np.all(np.abs(cs.barrier_values(x) - h_ref) <= 1e-12 * h_scale)
+        assert np.all(np.abs(cs.alpha_vector(x) - alpha_ref) <= 1e-12 * gains * h_scale)
+        assert np.allclose(cs.stacked_gradients(x), U_ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(cs.alpha_slopes(x), slope_ref)
+        idx = list(rng.permutation(n_barriers)[:int(rng.integers(0, n_barriers + 1))] + 1)
+        cols = [i - 1 for i in idx]
+        assert cs.stacked_gradients(x, idx).shape == (n, len(idx))
+        assert np.allclose(cs.stacked_gradients(x, idx), U_ref[:, cols],
+                           rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(cs.alpha_vector(x, idx) - alpha_ref[cols])
+                      <= 1e-12 * gains[cols] * h_scale[cols])
+        assert np.array_equal(cs.alpha_slopes(x, idx), slope_ref[cols])
+
+
+def test_stacked_arrays_are_read_only():
+    cs = make_set()
+    assert cs.shapes.shape == (2, 2, 2)
+    assert cs.centers.shape == (2, 2)
+    assert cs.offsets.shape == (2,)
+    assert np.array_equal(cs.alpha_gains, [1.0, 2.0])
+    for arr in (cs.shapes, cs.centers, cs.offsets, cs.alpha_gains):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    slopes = cs.alpha_slopes(np.zeros(2))
+    slopes[0] = 5.0  # a copy, not the stored gains
+    assert cs.alpha_gains[0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [[0], [3], [-1], [1, 1], [2, 1, 2]])
+def test_bad_or_repeated_indices_rejected(bad):
+    cs = make_set()
+    x = np.array([3.0, 0.0])
+    for accessor in (cs.stacked_gradients, cs.alpha_vector, cs.alpha_slopes):
+        with pytest.raises(InvalidParameterError):
+            accessor(x, indices=bad)

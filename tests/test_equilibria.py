@@ -277,3 +277,24 @@ def test_no_equilibria_where_clf_row_inactive(name):
     # the sweep is only meaningful if at least some samples hit the region;
     # tolerate zero occurrences (mode-dependent) without failing.
     assert seen_inactive >= 0
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # The multiplier seed imports scipy.optimize on first use, so
+    # commands that never search for equilibria do not pay for it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import clfcbf
+
+    env = dict(os.environ)
+    src = str(Path(clfcbf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clfcbf; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -287,3 +287,75 @@ def test_duplicate_barrier_rank_deficiency_reported(dupcbf):
     # active rows; the certificate reports the numerical rank it used.
     report = check_feasibility_condition(dupcbf, np.array([3.0, 0.0]))
     assert report.rank == 1
+
+
+# --- the closed-loop field carried by the solution ----------------------------
+
+
+@pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d", "dupcbf"])
+def test_solution_carries_the_closed_loop_field(name, request):
+    # xdot is assembled from the multipliers; it must equal f + g u*, from
+    # the direct solver and from the oracle alike, and closed_loop_field
+    # must hand it back unchanged.
+    from clfcbf import eval_drift, eval_input_map
+
+    scenario = request.getfixturevalue(f"{name}_scenario")
+    problem = scenario.problem()
+    states = _sample_safe_states(problem, scenario.search.box, 30, seed=4)
+    for x in states:
+        f = eval_drift(problem.model, x)
+        g = eval_input_map(problem.model, x)
+        for sol in (solve_pointwise(problem, x), oracle_solve(problem, x)):
+            assert sol.xdot.shape == (problem.n,)
+            assert np.max(np.abs(sol.xdot - (f + g @ sol.u_star))) <= 1e-8
+            assert closed_loop_field(problem, x, solution=sol) is sol.xdot
+        assert np.array_equal(closed_loop_field(problem, x),
+                              solve_pointwise(problem, x).xdot)
+
+
+def _ring_of_discs(n_barriers=8):
+    """Single integrator, V = |x|^2 / 2, n_barriers discs on a ring of radius 2."""
+    angles = 2.0 * np.pi * np.arange(n_barriers) / n_barriers
+    centers = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return ControlProblem(
+        model=DynamicsModel.driftless(input_matrix=np.eye(2)),
+        certificates=CertificateSet(
+            cbfs=tuple(QuadraticCertificate.barrier(
+                shape=np.eye(2) / 0.36, center=c, offset=-1.0) for c in centers),
+            alphas=tuple(ClassKappa(0.5 + 0.25 * k) for k in range(n_barriers)),
+            clf=QuadraticCertificate.clf(shape=0.5 * np.eye(2), center=np.zeros(2)),
+            gamma=ClassKappa(1.0),
+        ),
+        params=ControllerParams(
+            mode="clf_cbf", p=2.0, cost_metric=np.eye(2),
+            nominal=NominalController.zero(2)),
+        tolerances=Tolerances(),
+    ), centers
+
+
+def test_every_first_guess_reproduces_the_cold_solve_at_eight_barriers():
+    # All 2^9 candidate active sets as warm-start hints: a hit, a miss, or
+    # a hint that is never KKT-consistent must all give the cold solution.
+    import itertools
+
+    problem, centers = _ring_of_discs()
+    rows = range(problem.n_barriers + 1)
+    guesses = [frozenset(c) for r in range(len(rows) + 1)
+               for c in itertools.combinations(rows, r)]
+    assert len(guesses) == 2 ** 9
+    rng = np.random.default_rng(12)
+    # behind an obstacle (barrier active), between two (maybe both), and free
+    states = [c * (1.0 + 0.65 / 2.0) + 0.02 * rng.standard_normal(2)
+              for c in centers[:3]]
+    states += [1.3 * (centers[0] + centers[1]), np.array([0.4, -0.3])]
+    assert all(problem.certificates.barrier_values(x).min() > 0.0 for x in states)
+    colds = [solve_pointwise(problem, x) for x in states]
+    assert any(len(s.active_set) > 1 for s in colds)
+    assert any(len(s.active_set) == 1 for s in colds)
+    for x, cold in zip(states, colds):
+        for guess in guesses:
+            warm = solve_pointwise(problem, x, first_guess=guess)
+            assert warm.active_set == cold.active_set
+            assert np.array_equal(warm.u_star, cold.u_star)
+            assert warm.lambda0 == cold.lambda0
+            assert np.array_equal(warm.lam, cold.lam)

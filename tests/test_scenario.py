@@ -10,6 +10,7 @@ from clfcbf import (
     AnalysisReport,
     ScenarioError,
     bundled_scenario_names,
+    bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
     loads_scenario,
@@ -235,3 +236,14 @@ def test_analysis_report_rejects_malformed_documents():
     extra["stray"] = 1
     with pytest.raises(ScenarioError, match="unknown key"):
         AnalysisReport.from_dict(extra)
+
+
+def test_c_and_python_loaders_parse_documents_equal():
+    # Scenarios are parsed with libyaml's loader when PyYAML has it; the
+    # pure-Python loader must read every shipped document the same way.
+    paths = [bundled_scenario_path(name) for name in bundled_scenario_names()]
+    paths.append(DATA_DIR / "dupcbf.scenario")
+    fast = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)

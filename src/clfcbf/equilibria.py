@@ -21,8 +21,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleQPError, InvalidParameterError
-from .qp import CLF_ROW, _PointData, closed_loop_field, solve_pointwise
-from .stability import equilibrium_field_jacobian
+from .qp import CLF_ROW, _State, closed_loop_field, solve_pointwise
+from .stability import _equilibrium_field_jacobian
 
 __all__ = [
     "SearchConfig",
@@ -89,13 +89,8 @@ def equilibrium_field(problem, x, lam, indices):
     if lam.shape[0] != len(indices):
         raise DimensionMismatchError(
             f"{lam.shape[0]} multipliers for {len(indices)} active indices")
-    d = _PointData(problem, x)
-    p = problem.params.p
-    field = d.f_nom - p * d.gamma_val * (d.G @ d.gradV)
-    if indices:
-        U_A = d.U[:, [i - 1 for i in indices]]
-        field = field + d.G @ (U_A @ lam)
-    return field
+    return _State(problem, x).equilibrium_field(
+        problem.params.p, [i - 1 for i in indices], lam)
 
 
 def _boundary_samples(certificate, count, rng):
@@ -134,15 +129,20 @@ def _project_to_boundaries(certs, indices, x, sweeps=50, tol=1e-6):
     return None
 
 
-def _newton(F, J, z0, tol_res, tol_step, max_iter, max_halvings):
-    """Damped Newton; returns the root or None."""
+def _newton(system, z0, tol_res, tol_step, max_iter, max_halvings):
+    """Damped Newton; returns the root or None.
+
+    ``system(z)`` evaluates the state once and returns ``(F(z), jacobian)``,
+    where ``jacobian()`` builds J(z) from that same evaluation.  It is
+    called only at accepted iterates, never at line-search trial points.
+    """
     z = np.asarray(z0, dtype=float).copy()
-    Fz = F(z)
+    Fz, jacobian = system(z)
     if not np.all(np.isfinite(Fz)):
         return None
     res = float(np.max(np.abs(Fz)))
     for _ in range(max_iter):
-        Jz = J(z)
+        Jz = jacobian()
         try:
             step = np.linalg.solve(Jz, -Fz)
         except np.linalg.LinAlgError:
@@ -152,7 +152,7 @@ def _newton(F, J, z0, tol_res, tol_step, max_iter, max_halvings):
         scale = 1.0
         for _ in range(max_halvings + 1):
             z_new = z + scale * step
-            F_new = F(z_new)
+            F_new, jacobian_new = system(z_new)
             res_new = float(np.max(np.abs(F_new))) if np.all(np.isfinite(F_new)) \
                 else np.inf
             if res_new < res or res_new <= tol_res:
@@ -160,7 +160,7 @@ def _newton(F, J, z0, tol_res, tol_step, max_iter, max_halvings):
             scale *= 0.5
         else:
             return None
-        z, Fz, res = z_new, F_new, res_new
+        z, Fz, jacobian, res = z_new, F_new, jacobian_new, res_new
         step_inf = float(np.max(np.abs(scale * step)))
         if res <= tol_res and step_inf <= tol_step * max(1.0, float(np.max(np.abs(z)))):
             return z
@@ -223,27 +223,26 @@ def find_boundary_equilibria(problem, indices, config):
 
     cols = [i - 1 for i in indices]
 
-    def F(z):
-        x, lam = z[:n], z[n:]
-        d = _PointData(problem, x)
-        field = d.f_nom - p * d.gamma_val * (d.G @ d.gradV) + d.G @ (d.U[:, cols] @ lam)
-        return np.concatenate([field, d.h[cols]])
+    def system(z):
+        lam = z[n:]
+        d = _State(problem, z[:n])
 
-    def J(z):
-        x, lam = z[:n], z[n:]
-        d = _PointData(problem, x)
-        top = np.hstack([
-            equilibrium_field_jacobian(problem, x, lam, indices),
-            d.G @ d.U[:, cols],
-        ])
-        bottom = np.hstack([d.U[:, cols].T, np.zeros((r, r))])
-        return np.vstack([top, bottom])
+        def jacobian():
+            U_A = d.U[:, cols]
+            top = np.hstack([
+                _equilibrium_field_jacobian(problem, d, lam, indices),
+                d.G @ U_A,
+            ])
+            bottom = np.hstack([U_A.T, np.zeros((r, r))])
+            return np.vstack([top, bottom])
+
+        return np.concatenate([d.equilibrium_field(p, cols, lam), d.h[cols]]), jacobian
 
     roots = []
     for x0 in seeds:
-        d0 = _PointData(problem, x0)
+        d0 = _State(problem, x0)
         lam0 = _lambda_seed(d0, cols, p)
-        z = _newton(F, J, np.concatenate([x0, lam0]),
+        z = _newton(system, np.concatenate([x0, lam0]),
                     tol.newton_residual, tol.newton_step,
                     config.newton_max_iter, config.max_halvings)
         if z is None:
@@ -256,8 +255,8 @@ def find_boundary_equilibria(problem, indices, config):
     reports = []
     for z in roots:
         x_e, lam = z[:n], z[n:]
-        d = _PointData(problem, x_e)
-        field = equilibrium_field(problem, x_e, lam, indices)
+        d = _State(problem, x_e)
+        field = d.equilibrium_field(p, cols, lam)
         report = EquilibriumReport(
             x_e=x_e,
             kind="boundary",
@@ -344,16 +343,16 @@ def find_interior_equilibria(problem, config):
                     break
         attempts += 1
 
-    def F(x):
-        d = _PointData(problem, x)
-        return d.f_nom - p * d.gamma_val * (d.G @ d.gradV)
+    no_lam = np.zeros(0)
 
-    def J(x):
-        return equilibrium_field_jacobian(problem, x, np.zeros(0), ())
+    def system(x):
+        d = _State(problem, x)
+        return d.equilibrium_field(p, [], no_lam), \
+            lambda: _equilibrium_field_jacobian(problem, d, no_lam, ())
 
     roots = []
     for x0 in seeds:
-        x = _newton(F, J, x0, tol.newton_residual, tol.newton_step,
+        x = _newton(system, x0, tol.newton_residual, tol.newton_step,
                     config.newton_max_iter, config.max_halvings)
         if x is None:
             continue
@@ -362,7 +361,7 @@ def find_interior_equilibria(problem, config):
 
     reports = []
     for x_e in roots:
-        d = _PointData(problem, x_e)
+        d = _State(problem, x_e)
         if float(np.min(d.h)) <= tol.interior:
             continue
         try:
@@ -380,7 +379,7 @@ def find_interior_equilibria(problem, config):
             indices=(),
             lambda_e=np.zeros(0),
             lambda0_e=p * d.gamma_val,
-            residual_field=float(np.max(np.abs(F(x_e)))),
+            residual_field=float(np.max(np.abs(d.equilibrium_field(p, [], no_lam)))),
             residual_boundary=None,
             validated=True,
         ))

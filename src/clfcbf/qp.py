@@ -206,17 +206,18 @@ class FeasibilityReport:
     rank: int
 
 
-class _PointData:
-    """Everything the pointwise QP needs at one state, computed once."""
+class _State:
+    """The plant and certificate quantities at one state, computed once.
 
-    __slots__ = ("x", "f", "g", "gT", "Hinv_gT", "G", "H", "u_nom", "f_nom",
-                 "V", "gradV", "gamma_val", "h", "U", "alpha", "c",
-                 "gT_gradV", "gT_U", "Hg_gradV", "Hg_U",
-                 "M_full", "v_full", "F_V", "F_h", "LfV", "Lfh")
+    This is all the equilibrium search and the Jacobians read; the QP
+    products are added on top of it by :class:`_PointData`.
+    """
+
+    __slots__ = ("x", "f", "g", "gT", "Hinv_gT", "G", "u_nom", "f_nom",
+                 "V", "gradV", "gamma_val", "h", "U")
 
     def __init__(self, problem, x):
         certs = problem.certificates
-        self.H = problem.params.cost_metric
         self.x = x = np.asarray(x, dtype=float).ravel()
         if x.shape != (problem.n,):
             raise DimensionMismatchError(
@@ -229,7 +230,26 @@ class _PointData:
         self.gradV = certs.clf_gradient(x)
         self.gamma_val = certs.gamma_value(self.V)
         self.h, self.U = certs.values_and_gradients(x)
-        self.alpha = certs.alpha_gains * self.h
+
+    def equilibrium_field(self, p, cols, lam):
+        """f_nom - p gamma(V) G grad V + G U[:, cols] lam: the CLF multiplier
+        eliminated at its equilibrium value p gamma(V)."""
+        field = self.f_nom - p * self.gamma_val * (self.G @ self.gradV)
+        if cols:
+            field = field + self.G @ (self.U[:, cols] @ lam)
+        return field
+
+
+class _PointData(_State):
+    """Everything the pointwise QP needs at one state, computed once."""
+
+    __slots__ = ("H", "alpha", "c", "gT_gradV", "gT_U", "Hg_gradV", "Hg_U",
+                 "M_full", "v_full", "F_V", "F_h", "LfV", "Lfh")
+
+    def __init__(self, problem, x):
+        super().__init__(problem, x)
+        self.H = problem.params.cost_metric
+        self.alpha = problem.certificates.alpha_gains * self.h
         G_gradV = self.G @ self.gradV
         self.c = 1.0 / problem.params.p + float(self.gradV @ G_gradV)
         self.gT_gradV = self.gT @ self.gradV
@@ -289,7 +309,11 @@ def assemble_dual(problem, x):
     A is symmetric positive semidefinite within 1e-10; its leading entry is
     the CLF-row curvature ``c`` and the trailing block is U^T G U.
     """
-    d = _PointData(problem, x)
+    return _dual(_PointData(problem, x))
+
+
+def _dual(d):
+    """(A, b) of :func:`assemble_dual` from an assembled point."""
     N = d.h.shape[0]
     A = np.empty((N + 1, N + 1))
     A[0, 0] = d.c
@@ -457,7 +481,7 @@ def oracle_solve(problem, x, max_iter=200_000):
     or a detectably unbounded dual so that it can never silently pass.
     """
     d = _PointData(problem, x)
-    A, b = assemble_dual(problem, x)
+    A, b = _dual(d)
     tol = problem.tolerances.oracle_residual * max(1.0, float(np.max(np.abs(b))))
     lipschitz = float(np.max(np.linalg.eigvalsh(A)))
     if lipschitz <= 0.0:

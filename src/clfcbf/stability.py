@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import PreconditionError
-from .qp import _PointData, closed_loop_field
+from .qp import _PointData, _State, closed_loop_field
 from .systems import finite_difference_jacobian
 
 __all__ = [
@@ -118,23 +118,25 @@ def equilibrium_field_jacobian(problem, x, lam, indices):
     """
     indices = tuple(int(i) for i in indices)
     lam = np.asarray(lam, dtype=float).ravel()
+    return _equilibrium_field_jacobian(problem, _State(problem, x), lam, indices)
+
+
+def _equilibrium_field_jacobian(problem, d, lam, indices):
+    """:func:`equilibrium_field_jacobian` at an evaluated state ``d``.
+
+    ``lam`` is a float vector and ``indices`` a tuple of ints.  A
+    non-constant input map is differentiated by finite differences of the
+    field, which evaluates the state afresh at each probe.
+    """
     certs = problem.certificates
     p = problem.params.p
     if problem.model.input_kind != "constant":
         cols = [i - 1 for i in indices]
-
-        def field(y):
-            dy = _PointData(problem, y)
-            out = dy.f_nom - p * dy.gamma_val * (dy.G @ dy.gradV)
-            if cols:
-                out = out + dy.G @ (dy.U[:, cols] @ lam)
-            return out
-
-        return finite_difference_jacobian(field, x)
-    d = _PointData(problem, x)
+        return finite_difference_jacobian(
+            lambda y: _State(problem, y).equilibrium_field(p, cols, lam), d.x)
     gradV = d.gradV
     gamma_slope = certs.gamma_slope(d.V)
-    J = problem.f_nom_jacobian(x)
+    J = problem.f_nom_jacobian(d.x)
     J = J - p * (gamma_slope * np.outer(d.G @ gradV, gradV)
                  + d.gamma_val * (d.G @ certs.clf_hessian()))
     for k, i in enumerate(indices):
@@ -203,7 +205,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     gamma_slope = problem.certificates.gamma_slope(d.V)
     core = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
     J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
-    J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
+    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
 
     cond_B_V = np.nan
     g_sv = np.linalg.svd(d.G, compute_uv=False)
@@ -300,7 +302,7 @@ def verify_factorization(problem, x_e, lam, indices):
     lambda0_e = p * d.gamma_val
     gamma_slope = problem.certificates.gamma_slope(d.V)
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
+    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
     P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
     lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
     W = orthogonal_complement_basis([d.G @ d.gradV])
@@ -421,12 +423,12 @@ def remark_difference_diagnostic(problem, x_e, lam, indices):
     """
     indices = tuple(int(i) for i in indices)
     lam = np.asarray(lam, dtype=float).ravel()
-    d = _PointData(problem, x_e)
+    d = _State(problem, x_e)
     p = problem.params.p
     lambda0_e = p * d.gamma_val
     gamma_slope = problem.certificates.gamma_slope(d.V)
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
+    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
     difference = J_A - J_fA
     with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
     without_weight = p * gamma_slope * np.outer(d.gradV, d.gradV)

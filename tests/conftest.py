@@ -149,6 +149,43 @@ def dupcbf(dupcbf_scenario):
     return dupcbf_scenario.problem()
 
 
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Record every state evaluation, one entry per build: "state" for the
+    equilibrium layer ``qp._State``, "point" for the QP layer ``qp._PointData``.
+
+    Counting subclasses replace both classes at every binding in the package
+    (``qp``, ``equilibria``, ``stability``), so builds made anywhere inside
+    the library are seen.  A ``_PointData`` build counts once.
+    """
+    import clfcbf.qp as qp
+
+    built = []
+
+    class CountingState(qp._State):
+        __slots__ = ()
+
+        def __init__(self, problem, x):
+            built.append("state")
+            super().__init__(problem, x)
+
+    class CountingPointData(qp._PointData):
+        __slots__ = ()
+
+        def __init__(self, problem, x):
+            built.append("point")
+            super().__init__(problem, x)
+
+    swaps = {qp._State: CountingState, qp._PointData: CountingPointData}
+    for modname, module in list(sys.modules.items()):
+        if modname != "clfcbf" and not modname.startswith("clfcbf."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, type) and value in swaps:
+                monkeypatch.setattr(module, attr, swaps[value])
+    return built
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")
     lines = getattr(mod, "SUMMARY", None) if mod else None

@@ -1,13 +1,19 @@
 """Boundary/interior equilibrium location: hand anchors, a dense grid-scan
 oracle over the boundary curves, and the validation semantics."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import clfcbf.equilibria as equilibria
 from clfcbf import (
+    DynamicsModel,
     EquilibriumReport,
     SearchConfig,
+    classify,
     closed_loop_field,
     equilibrium_field,
+    equilibrium_field_jacobian,
     find_boundary_equilibria,
     find_interior_equilibria,
     load_bundled_scenario,
@@ -256,6 +262,108 @@ def test_finder_is_deterministic(deadlock2d):
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.x_e, rb.x_e)
         assert np.array_equal(ra.lambda_e, rb.lambda_e)
+
+
+# --- one state evaluation per Newton iterate --------------------------------------
+
+
+def _watch_newton(monkeypatch, built):
+    """Wrap every Newton system: keep it, and count its evaluations, its
+    Jacobians and the state builds each of them makes."""
+    seen = {"systems": [], "system": 0, "system_builds": 0,
+            "jacobian": 0, "jacobian_builds": 0}
+    newton = equilibria._newton
+
+    def watched(system, *args):
+        seen["systems"].append(system)
+
+        def counted_system(z):
+            before = len(built)
+            F, jacobian = system(z)
+            seen["system"] += 1
+            seen["system_builds"] += len(built) - before
+
+            def counted_jacobian():
+                before = len(built)
+                J = jacobian()
+                seen["jacobian"] += 1
+                seen["jacobian_builds"] += len(built) - before
+                return J
+
+            return F, counted_jacobian
+
+        return newton(counted_system, *args)
+
+    monkeypatch.setattr(equilibria, "_newton", watched)
+    return seen
+
+
+@pytest.mark.parametrize("search", ["boundary", "interior"])
+def test_newton_jacobians_reuse_the_iterate_evaluation(
+        fig1, fig1_scenario, assemblies, monkeypatch, search):
+    seen = _watch_newton(monkeypatch, assemblies)
+    config = replace(fig1_scenario.search, boundary_seeds=8, interior_seeds=4)
+    if search == "boundary":
+        reports = find_boundary_equilibria(fig1, (1,), config)
+    else:
+        reports = find_interior_equilibria(fig1, config)
+    assert reports
+    assert seen["jacobian"] > 0
+    assert seen["system_builds"] == seen["system"]
+    assert seen["jacobian_builds"] == 0
+    # the search reads only the state layer; the QP layer is built once per
+    # root, by the solve that validates it
+    assert assemblies.count("point") == len(reports)
+
+
+@pytest.mark.parametrize("name, indices", [
+    ("deadlock2d", (1,)), ("fig1", (1,)), ("fig1", (1, 2)), ("fig1", ())])
+def test_newton_system_is_the_public_field_and_jacobian(
+        name, indices, request, monkeypatch):
+    # Bit for bit: the search evaluates the same arithmetic as the public
+    # equilibrium_field / equilibrium_field_jacobian at arbitrary states.
+    problem = request.getfixturevalue(name)
+    box = np.array([[-4.0, 4.0]] * problem.n)
+    config = SearchConfig(box=box, boundary_seeds=8, interior_seeds=1, seed=0)
+    seen = _watch_newton(monkeypatch, [])
+    if indices:
+        find_boundary_equilibria(problem, indices, config)
+    else:
+        find_interior_equilibria(problem, config)
+    assert seen["systems"]
+    system = seen["systems"][0]
+    n = problem.n
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        x = rng.uniform(-4.0, 4.0, n)
+        lam = rng.uniform(0.0, 5.0, len(indices))
+        F, jacobian = system(np.concatenate([x, lam]) if indices else x)
+        J = jacobian()
+        assert np.array_equal(F[:n], equilibrium_field(problem, x, lam, indices))
+        assert np.array_equal(
+            J[:n, :n], equilibrium_field_jacobian(problem, x, lam, indices))
+
+
+def test_non_constant_input_map_search_matches_constant_map(deadlock2d):
+    # A generic plant whose input_fn returns the constant matrix takes the
+    # finite-difference Jacobian branch everywhere; its roots and verdicts
+    # must match the exact-derivative problem.
+    g0 = deadlock2d.model.input_matrix
+    generic = replace(deadlock2d, model=DynamicsModel.generic(
+        n=2, m=2, drift_fn=None, input_fn=lambda x: g0))
+    assert generic.model.input_kind == "generic"
+    config = replace(DEADLOCK_SEARCH, boundary_seeds=16)
+    expected = find_boundary_equilibria(deadlock2d, (1,), config)
+    found = find_boundary_equilibria(generic, (1,), config)
+    assert len(expected) >= 1
+    assert len(found) == len(expected)
+    for got, want in zip(found, expected):
+        assert np.max(np.abs(got.x_e - want.x_e)) <= 1e-6
+        assert np.max(np.abs(got.lambda_e - want.lambda_e)) <= 1e-6
+        assert got.validated == want.validated
+        verdict = classify(generic, got.x_e, got.lambda_e, got.indices)
+        reference = classify(deadlock2d, want.x_e, want.lambda_e, want.indices)
+        assert verdict.verdict == reference.verdict
 
 
 # --- statistical invariant -------------------------------------------------------

@@ -179,6 +179,15 @@ def test_solver_agrees_with_dual_iteration_oracle(name, request):
         assert direct.kkt_residual <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d", "dupcbf"])
+def test_oracle_evaluates_the_state_once(name, request, assemblies):
+    scenario = request.getfixturevalue(f"{name}_scenario")
+    problem = scenario.problem()
+    x = _sample_safe_states(problem, scenario.search.box, 1, seed=2)[0]
+    oracle_solve(problem, x)
+    assert assemblies == ["point"]
+
+
 def test_warm_start_guess_never_changes_solution(fig1):
     # The QP is strictly convex, so any active-set hint must reproduce the
     # exact same optimum (the hint only reorders the candidate search).

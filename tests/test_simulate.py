@@ -231,21 +231,9 @@ def test_trajectory_csv_round_trip_is_bit_exact(deadlock2d, tmp_path):
 
 
 @pytest.mark.parametrize("steps", [1, 5])
-def test_integrate_assembles_each_state_once(deadlock2d, monkeypatch, steps):
+def test_integrate_assembles_each_state_once(deadlock2d, assemblies, steps):
     # Four RK4 stage states per step plus the final sample: each is
     # assembled once, by its solve; the closed-loop field rides along.
-    import clfcbf.qp as qp
-
-    built = []
-
-    class CountingPointData(qp._PointData):
-        __slots__ = ()
-
-        def __init__(self, problem, x):
-            built.append(1)
-            super().__init__(problem, x)
-
-    monkeypatch.setattr(qp, "_PointData", CountingPointData)
     run = integrate(deadlock2d, np.array([4.0, 0.3]), dt=0.01, t_final=0.01 * steps)
     assert run.t.shape == (steps + 1,)
-    assert len(built) == 4 * steps + 1
+    assert len(assemblies) == 4 * steps + 1

@@ -99,6 +99,17 @@ def test_deadlock_classification_and_cross_check(deadlock2d):
     assert abs(np.max(check.eigenvalues.real) - 9.0) < 1e-6
 
 
+@pytest.mark.parametrize("name, x, lam, indices", [
+    ("deadlock2d", X_DEADLOCK, [6.75], [1]),
+    ("fig1", np.array([0.0, 1.0, 3.0]), [1.0, 1.0], [1, 2]),
+])
+def test_classify_evaluates_the_state_once(name, x, lam, indices, request, assemblies):
+    # closed_loop_jacobian's evaluation also feeds the equilibrium-field
+    # Jacobian, so one classify is one build.
+    classify(request.getfixturevalue(name), x, lam, indices)
+    assert len(assemblies) == 1
+
+
 def test_left_eigenvector_of_closed_loop(deadlock2d):
     """grad h is a left eigenvector of J_fcl with eigenvalue -alpha'(0)."""
     bundle = closed_loop_jacobian(deadlock2d, X_DEADLOCK, [6.75], [1])

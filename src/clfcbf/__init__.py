@@ -49,10 +49,7 @@ from .qp import (
     ControlProblem,
     FeasibilityReport,
     QpSolution,
-    assemble_dual,
     check_feasibility_condition,
-    clf_dual_curvature,
-    clf_gradient_deflation,
     closed_loop_field,
     oracle_solve,
     solve_pointwise,
@@ -82,24 +79,10 @@ from .stability import (
     StabilityVerdict,
     classify,
     closed_loop_jacobian,
-    dual_block_inverse,
     equilibrium_field_jacobian,
-    frozen_multiplier_jacobian,
-    orthogonal_complement_basis,
-    remark_difference_diagnostic,
     spectrum_cross_check,
-    verify_factorization,
 )
-from .systems import (
-    DynamicsModel,
-    NominalController,
-    eval_drift,
-    eval_f_nom,
-    eval_f_nom_jacobian,
-    eval_gram,
-    eval_input_map,
-    finite_difference_jacobian,
-)
+from .systems import DynamicsModel, NominalController
 from .tolerances import Tolerances
 
 __version__ = "0.1.0"
@@ -107,17 +90,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # systems
-    "DynamicsModel", "NominalController", "eval_drift", "eval_input_map",
-    "eval_f_nom", "eval_f_nom_jacobian", "eval_gram",
-    "finite_difference_jacobian",
+    "DynamicsModel", "NominalController",
     # certificates
     "MAX_BARRIERS", "ClassKappa", "QuadraticCertificate", "CertificateSet",
     # tolerances
     "Tolerances",
     # qp
     "MODES", "ControllerParams", "ControlProblem", "QpSolution",
-    "FeasibilityReport", "clf_dual_curvature", "clf_gradient_deflation",
-    "assemble_dual", "solve_pointwise", "oracle_solve",
+    "FeasibilityReport", "solve_pointwise", "oracle_solve",
     "check_feasibility_condition", "closed_loop_field",
     # equilibria
     "SearchConfig", "EquilibriumReport", "equilibrium_field",
@@ -125,10 +105,8 @@ __all__ = [
     "validate_equilibrium",
     # stability
     "JacobianBundle", "StabilityVerdict", "SpectrumCheck",
-    "frozen_multiplier_jacobian", "equilibrium_field_jacobian",
-    "closed_loop_jacobian", "orthogonal_complement_basis",
-    "verify_factorization", "classify", "spectrum_cross_check",
-    "dual_block_inverse", "remark_difference_diagnostic",
+    "equilibrium_field_jacobian", "closed_loop_jacobian", "classify",
+    "spectrum_cross_check",
     # simulate
     "Termination", "Trajectory", "integrate", "safety_margin",
     "write_trajectory_csv", "read_trajectory_csv",

@@ -12,7 +12,7 @@ bitmask (bit 0 = CLF row, bit i = CBF i).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -29,7 +29,7 @@ Modes
 ``clf_cbf``
     CLF present, nominal control forced to zero.
 ``generalized``
-    CLF present and an arbitrary nominal controller.
+    CLF present and a zero or linear-feedback nominal controller.
 """
 
 import itertools
@@ -46,8 +46,7 @@ from .errors import (
     InvalidParameterError,
     OracleFailureError,
 )
-from .systems import DynamicsModel, NominalController, eval_drift, eval_f_nom, \
-    eval_f_nom_jacobian, eval_gram, eval_input_map
+from .systems import DynamicsModel, NominalController, _as_state, _eval_drift
 from .tolerances import Tolerances
 
 __all__ = [
@@ -56,9 +55,6 @@ __all__ = [
     "ControlProblem",
     "QpSolution",
     "FeasibilityReport",
-    "clf_dual_curvature",
-    "clf_gradient_deflation",
-    "assemble_dual",
     "solve_pointwise",
     "oracle_solve",
     "check_feasibility_condition",
@@ -118,6 +114,10 @@ class ControlProblem:
         if self.params.nominal.m != self.model.m:
             raise DimensionMismatchError(
                 f"nominal controller has m={self.params.nominal.m}, model m={self.model.m}")
+        gain = self.params.nominal.gain
+        if gain is not None and gain.shape[1] != self.model.n:
+            raise DimensionMismatchError(
+                f"gain has {gain.shape[1]} columns, model n={self.model.n}")
         if (self.params.mode == "safety_filter") == self.certificates.has_clf:
             if self.params.mode == "safety_filter":
                 raise InvalidParameterError("safety_filter mode requires no CLF")
@@ -132,34 +132,33 @@ class ControlProblem:
         return self.certificates.n_barriers
 
     @cached_property
-    def _constant_maps(self):
-        """(g, g^T, H^{-1} g^T, G) when the input map is constant, else None."""
-        if self.model.input_kind != "constant":
-            return None
+    def _input_maps(self):
         g = self.model.input_matrix
         Hinv_gT = np.linalg.solve(self.params.cost_metric, g.T)
         G = g @ Hinv_gT
         return g, g.T, Hinv_gT, 0.5 * (G + G.T)
 
     def input_maps(self, x):
-        """(g, g^T, H^{-1} g^T, G) evaluated at x."""
-        cached = self._constant_maps
-        if cached is not None:
-            return cached
-        g = eval_input_map(self.model, x)
-        Hinv_gT = np.linalg.solve(self.params.cost_metric, g.T)
-        G = g @ Hinv_gT
-        return g, g.T, Hinv_gT, 0.5 * (G + G.T)
+        """(g, g^T, H^{-1} g^T, G) at x; the input map is constant."""
+        return self._input_maps
 
     def gram(self, x):
         """Symmetrized g H^{-1} g^T at x."""
         return self.input_maps(x)[3]
 
     def f_nom(self, x):
-        return eval_f_nom(self.model, self.params.nominal, x)
+        """Nominal closed-loop field f(x) + g u_nom(x)."""
+        x = _as_state(x, self.n)
+        return _eval_drift(self.model, x) + self.model.input_matrix @ self.u_nom(x)
 
     def f_nom_jacobian(self, x):
-        return eval_f_nom_jacobian(self.model, self.params.nominal, x)
+        """State Jacobian of the nominal field: the constant A + g K."""
+        J = np.zeros((self.n, self.n))
+        if self.model.drift_matrix is not None:
+            J += self.model.drift_matrix
+        if self.params.nominal.gain is not None:
+            J += self.model.input_matrix @ self.params.nominal.gain
+        return J
 
     def u_nom(self, x):
         return self.params.nominal(x)
@@ -222,7 +221,7 @@ class _State:
         if x.shape != (problem.n,):
             raise DimensionMismatchError(
                 f"x has shape {x.shape}, expected ({problem.n},)")
-        self.f = eval_drift(problem.model, x)
+        self.f = _eval_drift(problem.model, x)
         self.g, self.gT, self.Hinv_gT, self.G = problem.input_maps(x)
         self.u_nom = problem.u_nom(x)
         self.f_nom = self.f + self.g @ self.u_nom
@@ -282,38 +281,25 @@ class _PointData(_State):
         return clf_row, cbf_rows
 
 
-def clf_dual_curvature(problem, x):
-    """Dual-cost curvature of the CLF row: 1/p + ||grad V||_G^2 (> 0)."""
-    d = _PointData(problem, x)
-    return d.c
-
-
-def clf_gradient_deflation(problem, x):
-    """I - G grad V grad V^T / c: deflates the weighted CLF-gradient direction.
-
-    Multiplying a field by this matrix performs the Gauss-elimination step
-    that removes the CLF multiplier from the dual normal equations; it is
-    the identity whenever grad V = 0 (safety-filter mode or the CLF center).
-    """
-    d = _PointData(problem, x)
-    return _deflation(d)
-
-
 def _deflation(d):
+    """I - G grad V grad V^T / c at an assembled point ``d``.
+
+    ``d.c = 1/p + ||grad V||_G^2`` is the dual-cost curvature of the CLF
+    row.  Multiplying a field by this matrix performs the Gauss-elimination
+    step that removes the CLF multiplier from the dual normal equations; it
+    is the identity whenever grad V = 0 (safety-filter mode or the CLF
+    center).
+    """
     return np.eye(d.x.shape[0]) - np.outer(d.G @ d.gradV, d.gradV) / d.c
 
 
-def assemble_dual(problem, x):
-    """Dual matrices (A, b): the dual program is max -l^T A l / 2 + b^T l, l >= 0.
-
-    A is symmetric positive semidefinite within 1e-10; its leading entry is
-    the CLF-row curvature ``c`` and the trailing block is U^T G U.
-    """
-    return _dual(_PointData(problem, x))
-
-
 def _dual(d):
-    """(A, b) of :func:`assemble_dual` from an assembled point."""
+    """Dual matrices (A, b) at an assembled point ``d``.
+
+    The dual program is max -l^T A l / 2 + b^T l, l >= 0.  A is symmetric
+    positive semidefinite within 1e-10; its leading entry is the CLF-row
+    curvature ``c`` and the trailing block is U^T G U.
+    """
     N = d.h.shape[0]
     A = np.empty((N + 1, N + 1))
     A[0, 0] = d.c

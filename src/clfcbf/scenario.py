@@ -35,8 +35,9 @@ Schema (version 1)
       seed: <int>
     tolerances: {<Tolerances field>: <float>, ...}   # optional, defaults apply
 
-Only declarative (zero/linear/constant) model pieces are expressible in a
-file; generic callables must be constructed in code.
+The schema expresses every plant and nominal controller the library
+has: zero or linear drift, a constant input map, and zero or linear
+state-feedback nominal control.
 """
 
 import hashlib

@@ -20,27 +20,22 @@ closed loop, which knows nothing about the factorization.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import PreconditionError
 from .qp import _PointData, _State, closed_loop_field
-from .systems import finite_difference_jacobian
+from .systems import _finite_difference_jacobian
 
 __all__ = [
     "JacobianBundle",
     "StabilityVerdict",
     "SpectrumCheck",
-    "frozen_multiplier_jacobian",
     "equilibrium_field_jacobian",
     "closed_loop_jacobian",
-    "orthogonal_complement_basis",
-    "verify_factorization",
     "classify",
     "spectrum_cross_check",
-    "dual_block_inverse",
-    "remark_difference_diagnostic",
 ]
 
 #: condition-number ceiling for the active-set Schur complement.
@@ -80,39 +75,29 @@ class SpectrumCheck:
     eigenvalues: np.ndarray
 
 
-def _weighted_gradient_jacobian(problem, x, gradient_fn, hessian):
-    """d/dx [G(x) grad(x)]; exact G H when the input map is constant."""
-    if problem.model.input_kind == "constant":
-        return problem.gram(x) @ hessian
-    return finite_difference_jacobian(lambda y: problem.gram(y) @ gradient_fn(y), x)
-
-
-def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
+def _frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
     """State Jacobian of f_nom + G(-lambda0 grad V + U_A lam), multipliers frozen.
 
     This is the Jacobian that enters the closed-loop factorization; the
     multipliers are treated as constants evaluated at the equilibrium.
+    ``lam`` is a float vector and ``indices`` a tuple of ints.
     """
-    indices = tuple(int(i) for i in indices)
-    lam = np.asarray(lam, dtype=float).ravel()
     certs = problem.certificates
+    G = problem.gram(x)
     J = problem.f_nom_jacobian(x)
     if lambda0 != 0.0:
-        J = J - lambda0 * _weighted_gradient_jacobian(
-            problem, x, certs.clf_gradient, certs.clf_hessian())
+        J = J - lambda0 * (G @ certs.clf_hessian())
     for k, i in enumerate(indices):
         if lam[k] == 0.0:
             continue
-        b = certs.cbfs[i - 1]
-        J = J + lam[k] * _weighted_gradient_jacobian(
-            problem, x, b.gradient, b.hessian())
+        J = J + lam[k] * (G @ certs.cbfs[i - 1].hessian())
     return J
 
 
 def equilibrium_field_jacobian(problem, x, lam, indices):
     """State Jacobian of the equilibrium field f_A at frozen barrier multipliers.
 
-    Unlike :func:`frozen_multiplier_jacobian` the CLF multiplier is the
+    Unlike the multiplier-frozen Jacobian the CLF multiplier is the
     state-dependent p gamma(V(x)) here, which contributes the rank-one
     term p gamma'(V) G grad V grad V^T on top of the curvature terms.
     """
@@ -124,16 +109,10 @@ def equilibrium_field_jacobian(problem, x, lam, indices):
 def _equilibrium_field_jacobian(problem, d, lam, indices):
     """:func:`equilibrium_field_jacobian` at an evaluated state ``d``.
 
-    ``lam`` is a float vector and ``indices`` a tuple of ints.  A
-    non-constant input map is differentiated by finite differences of the
-    field, which evaluates the state afresh at each probe.
+    ``lam`` is a float vector and ``indices`` a tuple of ints.
     """
     certs = problem.certificates
     p = problem.params.p
-    if problem.model.input_kind != "constant":
-        cols = [i - 1 for i in indices]
-        return finite_difference_jacobian(
-            lambda y: _State(problem, y).equilibrium_field(p, cols, lam), d.x)
     gradV = d.gradV
     gamma_slope = certs.gamma_slope(d.V)
     J = problem.f_nom_jacobian(d.x)
@@ -201,7 +180,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
 
     PVG_UA = PVG @ U_A
     P_UA = np.eye(n) - PVG_UA @ S_inv @ U_A.T
-    J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
+    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     gamma_slope = problem.certificates.gamma_slope(d.V)
     core = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
     J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
@@ -211,7 +190,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     g_sv = np.linalg.svd(d.G, compute_uv=False)
     grad_norm = float(np.max(np.abs(d.gradV)))
     if grad_norm > 1e-12 and g_sv[-1] > tol.rank * max(1.0, float(g_sv[0])):
-        W = orthogonal_complement_basis([d.G @ d.gradV])
+        W = _orthogonal_complement_basis([d.G @ d.gradV])
         B_V = np.column_stack([d.gradV, W])
         cond_B_V = float(np.linalg.cond(B_V))
 
@@ -220,7 +199,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
         lambda_prime=lam_prime, cond_S_A=cond_S, cond_B_V=cond_B_V)
 
 
-def orthogonal_complement_basis(vectors, metric=None):
+def _orthogonal_complement_basis(vectors, metric=None):
     """Orthonormal basis of the complement of span(vectors) in a given metric.
 
     Parameters
@@ -278,7 +257,7 @@ def orthogonal_complement_basis(vectors, metric=None):
     return np.zeros((n, 0))
 
 
-def verify_factorization(problem, x_e, lam, indices):
+def _verify_factorization(problem, x_e, lam, indices):
     """Residual of the congruence factorization of the deflated Jacobian.
 
     Checks that P J_A - gamma'(V)/c * G grad V grad V^T equals
@@ -301,11 +280,11 @@ def verify_factorization(problem, x_e, lam, indices):
     p = problem.params.p
     lambda0_e = p * d.gamma_val
     gamma_slope = problem.certificates.gamma_slope(d.V)
-    J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
+    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
     P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
     lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
-    W = orthogonal_complement_basis([d.G @ d.gradV])
+    W = _orthogonal_complement_basis([d.G @ d.gradV])
     B = np.column_stack([d.gradV, W])
     D = np.diag(np.concatenate([[1.0 / (p * d.c)], np.ones(n - 1)]))
     rhs = np.linalg.solve(B.T, D @ B.T @ J_fA)
@@ -342,7 +321,7 @@ def classify(problem, x_e, lam, indices):
         return StabilityVerdict(
             verdict="stable", mu_max=-np.inf, witness=None, spectrum=spectrum)
     U_A = problem.certificates.stacked_gradients(x_e, indices)
-    B = orthogonal_complement_basis(U_A)
+    B = _orthogonal_complement_basis(U_A)
     J_sym = 0.5 * (bundle.J_fA + bundle.J_fA.T)
     M = B.T @ J_sym @ B
     vals, vecs = np.linalg.eigh(M)
@@ -379,7 +358,7 @@ def spectrum_cross_check(problem, x_e, lam, indices, verdict):
     if verdict.verdict == "marginal":
         raise PreconditionError("spectrum cross-check needs a non-marginal verdict")
     x_e = np.asarray(x_e, dtype=float).ravel()
-    J_fd = finite_difference_jacobian(lambda y: closed_loop_field(problem, y), x_e)
+    J_fd = _finite_difference_jacobian(lambda y: closed_loop_field(problem, y), x_e)
     eigs = _sorted_eigenvalues(J_fd)
     eps = problem.tolerances.spectrum
     max_real = float(np.max(eigs.real))
@@ -389,52 +368,3 @@ def spectrum_cross_check(problem, x_e, lam, indices, verdict):
         agree = max_real < -eps
     return SpectrumCheck(agree=agree, eigenvalues=eigs)
 
-
-def dual_block_inverse(problem, x, indices):
-    """Closed-form inverse of the reduced dual matrix [[c, -v^T], [-v, M_A]].
-
-    Test oracle for the bordered-system algebra: the inverse is expressed
-    through the Schur complement S_A as a rank-(r) correction of the
-    leading 1/c entry.  Requires S_A invertible.
-    """
-    indices = tuple(int(i) for i in indices)
-    d = _PointData(problem, x)
-    cols = [i - 1 for i in indices]
-    r = len(cols)
-    v = d.v_full[cols]
-    M_A = d.M_full[np.ix_(cols, cols)]
-    S_A = M_A - np.outer(v, v) / d.c
-    S_inv = np.linalg.inv(S_A)
-    border = np.vstack([v[None, :], d.c * np.eye(r)])
-    Ainv = np.zeros((r + 1, r + 1))
-    Ainv[0, 0] = 1.0 / d.c
-    return Ainv + (border @ S_inv @ border.T) / (d.c * d.c)
-
-
-def remark_difference_diagnostic(problem, x_e, lam, indices):
-    """How the two candidate formulas for J_A - J_fA actually compare.
-
-    At the equilibrium multiplier lambda_0 = p gamma(V) the difference of
-    the two Jacobians reduces to a rank-one term; the input-weighted
-    candidate p gamma'(V) G grad V grad V^T matches direct differentiation,
-    while the unweighted candidate p gamma'(V) grad V grad V^T only agrees
-    when G is the identity.  Returns both residuals and the difference so
-    the discrepancy stays visible.
-    """
-    indices = tuple(int(i) for i in indices)
-    lam = np.asarray(lam, dtype=float).ravel()
-    d = _State(problem, x_e)
-    p = problem.params.p
-    lambda0_e = p * d.gamma_val
-    gamma_slope = problem.certificates.gamma_slope(d.V)
-    J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
-    difference = J_A - J_fA
-    with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
-    without_weight = p * gamma_slope * np.outer(d.gradV, d.gradV)
-    return {
-        "difference": difference,
-        "with_input_weight_residual": float(np.max(np.abs(difference - with_weight))),
-        "without_input_weight_residual": float(
-            np.max(np.abs(difference - without_weight))),
-    }

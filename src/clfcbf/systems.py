@@ -1,15 +1,13 @@
 """Control-affine plant models and nominal controllers.
 
-Plants have the form ``xdot = f(x) + g(x) u``.  The drift ``f`` is zero,
-linear (``A x``) or a generic callable; the input map ``g`` is a constant
-matrix or a generic callable.  A nominal controller is zero, linear state
-feedback ``u = K x`` or a generic callable.  Models built from the
-zero/linear/constant pieces carry exact derivatives; anything generic is
-differentiated by central finite differences.
+Plants have the form ``xdot = f(x) + g u``: the drift ``f`` is zero or
+linear (``A x``) and the input map ``g`` is a constant matrix.  A nominal controller is zero or
+linear state feedback ``u = K x``.  Plants and controllers are declarative
+only, so every state derivative the toolkit needs is exact.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,12 +16,6 @@ from .errors import DimensionMismatchError, InvalidParameterError, NumericalErro
 __all__ = [
     "DynamicsModel",
     "NominalController",
-    "eval_drift",
-    "eval_input_map",
-    "eval_f_nom",
-    "eval_f_nom_jacobian",
-    "eval_gram",
-    "finite_difference_jacobian",
 ]
 
 
@@ -37,10 +29,10 @@ def _as_state(x, n, what="x"):
 
 @dataclass(frozen=True)
 class DynamicsModel:
-    """Control-affine plant ``xdot = f(x) + g(x) u``.
+    """Control-affine plant ``xdot = f(x) + g u`` with zero or linear drift.
 
-    Build instances with :meth:`driftless`, :meth:`linear` or
-    :meth:`generic` rather than the raw constructor.
+    Build instances with :meth:`driftless` or :meth:`linear` rather than
+    the raw constructor.
 
     Attributes
     ----------
@@ -48,40 +40,31 @@ class DynamicsModel:
         State and input dimensions.
     drift_matrix : (n, n) ndarray, optional
         Present iff the drift is linear.
-    drift_fn : callable, optional
-        Present iff the drift is generic; maps (n,) -> (n,).
-    input_matrix : (n, m) ndarray, optional
-        Present iff the input map is constant.
-    input_fn : callable, optional
-        Present iff the input map is generic; maps (n,) -> (n, m).
+    input_matrix : (n, m) ndarray
+        The constant input map g.
     """
 
     n: int
     m: int
     drift_matrix: Optional[np.ndarray] = None
-    drift_fn: Optional[Callable] = None
     input_matrix: Optional[np.ndarray] = None
-    input_fn: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise InvalidParameterError(f"n, m must be >= 1, got n={self.n} m={self.m}")
-        if self.drift_matrix is not None and self.drift_fn is not None:
-            raise InvalidParameterError("drift cannot be both linear and generic")
-        if (self.input_matrix is None) == (self.input_fn is None):
-            raise InvalidParameterError("exactly one of input_matrix / input_fn required")
+        if self.input_matrix is None:
+            raise InvalidParameterError("input_matrix is required")
         if self.drift_matrix is not None:
             A = np.asarray(self.drift_matrix, dtype=float)
             if A.shape != (self.n, self.n):
                 raise DimensionMismatchError(
                     f"drift_matrix has shape {A.shape}, expected ({self.n}, {self.n})")
             object.__setattr__(self, "drift_matrix", A)
-        if self.input_matrix is not None:
-            g0 = np.asarray(self.input_matrix, dtype=float)
-            if g0.shape != (self.n, self.m):
-                raise DimensionMismatchError(
-                    f"input_matrix has shape {g0.shape}, expected ({self.n}, {self.m})")
-            object.__setattr__(self, "input_matrix", g0)
+        g0 = np.asarray(self.input_matrix, dtype=float)
+        if g0.shape != (self.n, self.m):
+            raise DimensionMismatchError(
+                f"input_matrix has shape {g0.shape}, expected ({self.n}, {self.m})")
+        object.__setattr__(self, "input_matrix", g0)
 
     @classmethod
     def driftless(cls, input_matrix):
@@ -94,40 +77,19 @@ class DynamicsModel:
         g0 = np.atleast_2d(np.asarray(input_matrix, dtype=float))
         return cls(n=A.shape[0], m=g0.shape[1], drift_matrix=A, input_matrix=g0)
 
-    @classmethod
-    def generic(cls, n, m, drift_fn, input_fn):
-        return cls(n=n, m=m, drift_fn=drift_fn, input_fn=input_fn)
-
     @property
     def drift_kind(self):
-        if self.drift_fn is not None:
-            return "generic"
-        if self.drift_matrix is not None:
-            return "linear"
-        return "zero"
-
-    @property
-    def input_kind(self):
-        return "constant" if self.input_matrix is not None else "generic"
-
-    @property
-    def analytic(self):
-        """True when exact state derivatives of f and g are available."""
-        return self.drift_kind != "generic" and self.input_kind == "constant"
+        return "linear" if self.drift_matrix is not None else "zero"
 
 
 @dataclass(frozen=True)
 class NominalController:
-    """Nominal control law ``u_nom(x)``: zero, ``K x``, or a generic callable."""
+    """Nominal control law ``u_nom(x)``: zero or ``K x``."""
 
     m: int
     gain: Optional[np.ndarray] = None
-    fn: Optional[Callable] = None
-    jac_fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.gain is not None and self.fn is not None:
-            raise InvalidParameterError("controller cannot be both linear and generic")
         if self.gain is not None:
             K = np.atleast_2d(np.asarray(self.gain, dtype=float))
             if K.shape[0] != self.m:
@@ -144,127 +106,32 @@ class NominalController:
         K = np.atleast_2d(np.asarray(gain, dtype=float))
         return cls(m=K.shape[0], gain=K)
 
-    @classmethod
-    def generic(cls, m, fn, jac_fn=None):
-        return cls(m=m, fn=fn, jac_fn=jac_fn)
-
     @property
     def kind(self):
-        if self.fn is not None:
-            return "generic"
-        if self.gain is not None:
-            return "linear_feedback"
-        return "zero"
-
-    @property
-    def analytic(self):
-        return self.kind != "generic" or self.jac_fn is not None
+        return "linear_feedback" if self.gain is not None else "zero"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        if self.fn is not None:
-            u = np.asarray(self.fn(x), dtype=float).ravel()
-        elif self.gain is not None:
-            if self.gain.shape[1] != x.shape[0]:
-                raise DimensionMismatchError(
-                    f"gain has {self.gain.shape[1]} columns, state has {x.shape[0]}")
-            u = self.gain @ x
-        else:
-            u = np.zeros(self.m)
-        if u.shape != (self.m,):
+        if self.gain is None:
+            return np.zeros(self.m)
+        if self.gain.shape[1] != x.shape[0]:
             raise DimensionMismatchError(
-                f"u_nom has shape {u.shape}, expected ({self.m},)")
-        return u
-
-    def jacobian(self, x):
-        """d u_nom / d x, exact for zero/linear feedback."""
-        x = np.asarray(x, dtype=float).ravel()
-        if self.kind == "zero":
-            return np.zeros((self.m, x.shape[0]))
-        if self.kind == "linear_feedback":
-            return self.gain.copy()
-        if self.jac_fn is not None:
-            return np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
-        return finite_difference_jacobian(self.__call__, x)
+                f"gain has {self.gain.shape[1]} columns, state has {x.shape[0]}")
+        return self.gain @ x
 
 
-def eval_drift(model, x):
-    """Drift f(x) as an (n,) vector."""
-    x = _as_state(x, model.n)
-    if model.drift_kind == "zero":
+def _eval_drift(model, x):
+    """Drift A x, or zeros when the plant is driftless."""
+    if model.drift_matrix is None:
         return np.zeros(model.n)
-    if model.drift_kind == "linear":
-        return model.drift_matrix @ x
-    f = np.asarray(model.drift_fn(x), dtype=float).ravel()
-    if f.shape != (model.n,):
-        raise DimensionMismatchError(
-            f"drift_fn returned shape {f.shape}, expected ({model.n},)")
-    return f
+    return model.drift_matrix @ x
 
 
-def eval_input_map(model, x):
-    """Input map g(x) as an (n, m) matrix."""
-    x = _as_state(x, model.n)
-    if model.input_matrix is not None:
-        return model.input_matrix
-    g = np.atleast_2d(np.asarray(model.input_fn(x), dtype=float))
-    if g.shape != (model.n, model.m):
-        raise DimensionMismatchError(
-            f"input_fn returned shape {g.shape}, expected ({model.n}, {model.m})")
-    return g
-
-
-def eval_f_nom(model, controller, x):
-    """Nominal closed-loop field f(x) + g(x) u_nom(x)."""
-    x = _as_state(x, model.n)
-    return eval_drift(model, x) + eval_input_map(model, x) @ controller(x)
-
-
-def eval_f_nom_jacobian(model, controller, x):
-    """State Jacobian of the nominal field, exact when model and controller are analytic."""
-    x = _as_state(x, model.n)
-    if model.analytic and controller.analytic:
-        J = np.zeros((model.n, model.n))
-        if model.drift_kind == "linear":
-            J += model.drift_matrix
-        if controller.kind != "zero":
-            J += model.input_matrix @ controller.jacobian(x)
-        return J
-    return finite_difference_jacobian(lambda y: eval_f_nom(model, controller, y), x)
-
-
-def eval_gram(model, cost_metric, x):
-    """Cost-weighted input Gram matrix g(x) H^{-1} g(x)^T, symmetrized.
-
-    Parameters
-    ----------
-    model : DynamicsModel
-    cost_metric : (m, m) ndarray
-        SPD weighting H of the control deviation in the QP cost.
-    x : (n,) array_like
-
-    Returns
-    -------
-    (n, n) ndarray
-        (G + G^T)/2 where G = g H^{-1} g^T; positive semidefinite.
-    """
-    g = eval_input_map(model, x)
-    H = np.asarray(cost_metric, dtype=float)
-    if H.shape != (model.m, model.m):
-        raise DimensionMismatchError(
-            f"cost_metric has shape {H.shape}, expected ({model.m}, {model.m})")
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise InvalidParameterError("cost_metric is not symmetric positive definite")
-    # G = g H^{-1} g^T computed via the Cholesky factor: W = L^{-1} g^T.
-    W = np.linalg.solve(L, g.T)
-    G = W.T @ W
-    return 0.5 * (G + G.T)
-
-
-def finite_difference_jacobian(fn, x, h=None):
+def _finite_difference_jacobian(fn, x, h=None):
     """Central-difference Jacobian of ``fn`` at ``x``.
+
+    The independent reference against which the analytic Jacobians are
+    checked.
 
     Parameters
     ----------

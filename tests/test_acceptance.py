@@ -24,14 +24,14 @@ from clfcbf import (
     closed_loop_field,
     closed_loop_jacobian,
     find_boundary_equilibria,
-    finite_difference_jacobian,
     integrate,
     load_bundled_scenario,
     safety_margin,
     spectrum_cross_check,
-    verify_factorization,
 )
-from clfcbf.cli import EXIT_OK, main
+from clfcbf.cli import EXIT_OK, _sample_safe_states, main
+from clfcbf.stability import _verify_factorization
+from clfcbf.systems import _finite_difference_jacobian
 
 SUMMARY = []
 
@@ -63,17 +63,6 @@ def _validated_equilibria(scenario):
                 if rep.validated:
                     reports.append((problem, rep))
     return reports
-
-
-def _safe_states(problem, box, count, seed):
-    """Uniform box samples rejection-filtered to the safe set."""
-    rng = np.random.default_rng(seed)
-    states = []
-    while len(states) < count:
-        x = rng.uniform(box[:, 0], box[:, 1])
-        if float(problem.certificates.barrier_values(x).min()) >= 0.0:
-            states.append(x)
-    return states
 
 
 def test_criterion_1_intersection_equilibrium_reproduction(tmp_path):
@@ -195,7 +184,7 @@ def test_criterion_4_jacobian_agreement():
                 indices = list(rep.indices)
                 bundle = closed_loop_jacobian(
                     problem, rep.x_e, rep.lambda_e, indices)
-                J_fd = finite_difference_jacobian(
+                J_fd = _finite_difference_jacobian(
                     lambda y: closed_loop_field(problem, y), rep.x_e)
                 scale = max(1.0, float(np.max(np.abs(bundle.J_fcl))))
                 fd_err = float(np.max(np.abs(bundle.J_fcl - J_fd))) / scale
@@ -207,7 +196,7 @@ def test_criterion_4_jacobian_agreement():
                 left_err = float(np.max(np.abs(left))) / scale
                 assert left_err <= 1e-6, name
 
-                residual = verify_factorization(
+                residual = _verify_factorization(
                     problem, rep.x_e, rep.lambda_e, indices)
                 if residual is not None:
                     factored += 1
@@ -277,7 +266,7 @@ def test_criterion_7_forward_invariance_margins():
         for name in bundled_scenario_names():
             scenario = load_bundled_scenario(name)
             problem = scenario.problem()
-            states = _safe_states(
+            states = _sample_safe_states(
                 problem, scenario.search.box, 50, scenario.search.seed)
             worst = {}
             for dt in (1e-3, 5e-4):

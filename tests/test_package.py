@@ -1,0 +1,80 @@
+"""The package surface: the pinned public API, and no unused imports in
+any module of the package."""
+import ast
+from pathlib import Path
+
+import clfcbf
+
+PUBLIC_API = {
+    "__version__",
+    # systems
+    "DynamicsModel", "NominalController",
+    # certificates
+    "MAX_BARRIERS", "ClassKappa", "QuadraticCertificate", "CertificateSet",
+    # tolerances
+    "Tolerances",
+    # qp
+    "MODES", "ControllerParams", "ControlProblem", "QpSolution",
+    "FeasibilityReport", "solve_pointwise", "oracle_solve",
+    "check_feasibility_condition", "closed_loop_field",
+    # equilibria
+    "SearchConfig", "EquilibriumReport", "equilibrium_field",
+    "find_boundary_equilibria", "find_interior_equilibria",
+    "validate_equilibrium",
+    # stability
+    "JacobianBundle", "StabilityVerdict", "SpectrumCheck",
+    "equilibrium_field_jacobian", "closed_loop_jacobian", "classify",
+    "spectrum_cross_check",
+    # simulate
+    "Termination", "Trajectory", "integrate", "safety_margin",
+    "write_trajectory_csv", "read_trajectory_csv",
+    # scenario
+    "Scenario", "AnalysisReport", "load_scenario", "loads_scenario",
+    "serialize_scenario", "save_scenario", "bundled_scenario_names",
+    "bundled_scenario_path", "load_bundled_scenario",
+    # errors
+    "ToolkitError", "DimensionMismatchError", "InvalidParameterError",
+    "NumericalError", "PreconditionError", "InfeasibleQPError",
+    "OracleFailureError", "IntegrationError", "ScenarioError",
+}
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 54
+    assert len(clfcbf.__all__) == len(set(clfcbf.__all__))
+    assert set(clfcbf.__all__) == PUBLIC_API
+    for name in clfcbf.__all__:
+        assert getattr(clfcbf, name) is not None, name
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads (``__all__`` counts as a read)."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in ast.walk(node.value)
+                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_detector_flags_only_unread_names():
+    source = ("import os\nimport numpy as np\nfrom typing import Optional, Tuple\n"
+              "from .x import a, b\n__all__ = ['a']\n"
+              "def f(t: Tuple):\n    return np.zeros(1)\n")
+    assert _unused_imports(source) == [(1, "os"), (3, "Optional"), (4, "b")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(clfcbf.__file__).parent
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: unused for name, unused in found.items() if unused} == {}

@@ -1,5 +1,7 @@
 """Pointwise QP solver, dual assembly, independent-oracle cross checks, and
 the dual-image feasibility certificate."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,15 @@ from clfcbf import (
     NominalController,
     QuadraticCertificate,
     Tolerances,
-    assemble_dual,
     check_feasibility_condition,
-    clf_dual_curvature,
-    clf_gradient_deflation,
     closed_loop_field,
     oracle_solve,
     solve_pointwise,
 )
 from clfcbf.cli import _sample_safe_states
-from clfcbf.errors import InfeasibleQPError
+from clfcbf.errors import DimensionMismatchError, InfeasibleQPError
+from clfcbf.qp import _deflation, _dual, _PointData
+from clfcbf.systems import _eval_drift
 
 
 # --- dual assembly: hand-derived anchors ------------------------------------
@@ -30,7 +31,7 @@ from clfcbf.errors import InfeasibleQPError
 def test_dual_assembly_onedim_filter(onedim_filter):
     # x = 1.5: U = grad h = 1, G = 1, safety filter so the CLF block is
     # c = 1/p = 1 and v = 0; F_h = grad h . f_nom + alpha(h) = -1.5 + 0.5.
-    A, b = assemble_dual(onedim_filter, np.array([1.5]))
+    A, b = _dual(_PointData(onedim_filter, np.array([1.5])))
     assert np.allclose(A, np.eye(2), atol=1e-14)
     assert np.allclose(b, [0.0, 1.0], atol=1e-14)
 
@@ -40,15 +41,15 @@ def test_dual_assembly_deadlock_point(deadlock2d):
     # v = U^T G gradV = (2,0).(3,0) = 6, U^T G U = 4,
     # F_V = gamma(V) = 4.5, F_h = alpha(h) = 0.
     x = np.array([3.0, 0.0])
-    A, b = assemble_dual(deadlock2d, x)
+    A, b = _dual(_PointData(deadlock2d, x))
     assert np.allclose(A, [[10.0, -6.0], [-6.0, 4.0]], atol=1e-12)
     assert np.allclose(b, [4.5, 0.0], atol=1e-12)
-    assert clf_dual_curvature(deadlock2d, x) == pytest.approx(10.0)
+    assert _PointData(deadlock2d, x).c == pytest.approx(10.0)
 
 
 def test_clf_gradient_deflation_hand_value(deadlock2d):
     # P_V = I - G gradV gradV^T / c at (3,0) with G = I, c = 10.
-    P_V = clf_gradient_deflation(deadlock2d, np.array([3.0, 0.0]))
+    P_V = _deflation(_PointData(deadlock2d, np.array([3.0, 0.0])))
     assert np.allclose(P_V, [[0.1, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
@@ -58,12 +59,10 @@ def test_deflation_annihilates_gram_weighted_gradient(fig1):
     rng = np.random.default_rng(17)
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=3)
-        P_V = clf_gradient_deflation(fig1, x)
+        P_V = _deflation(_PointData(fig1, x))
         grad = fig1.certificates.clf_gradient(x)
-        c = clf_dual_curvature(fig1, x)
-        from clfcbf import eval_gram
-
-        G = eval_gram(fig1.model, fig1.params.cost_metric, x)
+        c = _PointData(fig1, x).c
+        G = fig1.gram(x)
         lhs = grad @ P_V @ G @ grad
         q = grad @ G @ grad
         assert lhs == pytest.approx(q * (1.0 - q / c), rel=1e-10, abs=1e-12)
@@ -121,11 +120,9 @@ def kkt_blocks(problem, x, sol):
     """Recompute the four KKT blocks from scratch (independent of the
     solver's internal residual).  The constraint rows act on the actual
     closed-loop derivative f + g u*, not on the nominal field."""
-    from clfcbf import eval_drift, eval_input_map
-
     certs = problem.certificates
-    f = eval_drift(problem.model, x)
-    g = eval_input_map(problem.model, x)
+    f = _eval_drift(problem.model, x)
+    g = problem.model.input_matrix
     H = problem.params.cost_metric
     u_nom = problem.params.nominal(x)
     p = problem.params.p
@@ -258,6 +255,17 @@ def test_infeasible_qp_raises():
         solve_pointwise(problem, np.array([0.0, 1.2]))
 
 
+def test_gain_width_is_checked_at_construction(filter2d):
+    # A 2 x 3 gain on a 2-state plant is rejected when the problem is
+    # built, not at its first solve; the controller alone still checks
+    # the state it is called with.
+    nominal = NominalController.linear_feedback(-np.eye(2, 3))
+    with pytest.raises(DimensionMismatchError, match="3 columns"):
+        replace(filter2d, params=replace(filter2d.params, nominal=nominal))
+    with pytest.raises(DimensionMismatchError, match="3 columns"):
+        nominal(np.zeros(2))
+
+
 # --- feasibility certificate -------------------------------------------------
 
 
@@ -306,14 +314,12 @@ def test_solution_carries_the_closed_loop_field(name, request):
     # xdot is assembled from the multipliers; it must equal f + g u*, from
     # the direct solver and from the oracle alike, and closed_loop_field
     # must hand it back unchanged.
-    from clfcbf import eval_drift, eval_input_map
-
     scenario = request.getfixturevalue(f"{name}_scenario")
     problem = scenario.problem()
     states = _sample_safe_states(problem, scenario.search.box, 30, seed=4)
     for x in states:
-        f = eval_drift(problem.model, x)
-        g = eval_input_map(problem.model, x)
+        f = _eval_drift(problem.model, x)
+        g = problem.model.input_matrix
         for sol in (solve_pointwise(problem, x), oracle_solve(problem, x)):
             assert sol.xdot.shape == (problem.n,)
             assert np.max(np.abs(sol.xdot - (f + g @ sol.u_star))) <= 1e-8

@@ -24,23 +24,73 @@ from clfcbf import (
     QuadraticCertificate,
     SearchConfig,
     Tolerances,
-    assemble_dual,
     classify,
     closed_loop_field,
     closed_loop_jacobian,
-    dual_block_inverse,
     equilibrium_field,
     equilibrium_field_jacobian,
     find_boundary_equilibria,
-    finite_difference_jacobian,
-    frozen_multiplier_jacobian,
-    orthogonal_complement_basis,
-    remark_difference_diagnostic,
     spectrum_cross_check,
-    verify_factorization,
 )
+from clfcbf.qp import _dual, _PointData, _State
+from clfcbf.stability import (
+    _equilibrium_field_jacobian,
+    _frozen_multiplier_jacobian,
+    _orthogonal_complement_basis,
+    _verify_factorization,
+)
+from clfcbf.systems import _finite_difference_jacobian
 
 X_DEADLOCK = np.array([3.0, 0.0])
+
+
+def dual_block_inverse(problem, x, indices):
+    """Closed-form inverse of the reduced dual matrix [[c, -v^T], [-v, M_A]].
+
+    Oracle for the bordered-system algebra: the inverse is expressed
+    through the Schur complement S_A as a rank-(r) correction of the
+    leading 1/c entry.  Requires S_A invertible.
+    """
+    d = _PointData(problem, x)
+    cols = [i - 1 for i in indices]
+    r = len(cols)
+    v = d.v_full[cols]
+    M_A = d.M_full[np.ix_(cols, cols)]
+    S_A = M_A - np.outer(v, v) / d.c
+    S_inv = np.linalg.inv(S_A)
+    border = np.vstack([v[None, :], d.c * np.eye(r)])
+    Ainv = np.zeros((r + 1, r + 1))
+    Ainv[0, 0] = 1.0 / d.c
+    return Ainv + (border @ S_inv @ border.T) / (d.c * d.c)
+
+
+def remark_difference_diagnostic(problem, x_e, lam, indices):
+    """How the two candidate formulas for J_A - J_fA actually compare.
+
+    At the equilibrium multiplier lambda_0 = p gamma(V) the difference of
+    the two Jacobians reduces to a rank-one term; the input-weighted
+    candidate p gamma'(V) G grad V grad V^T matches direct differentiation,
+    while the unweighted candidate p gamma'(V) grad V grad V^T only agrees
+    when G is the identity.  Returns both residuals and the difference so
+    the discrepancy stays visible.
+    """
+    indices = tuple(indices)
+    lam = np.asarray(lam, dtype=float)
+    d = _State(problem, x_e)
+    p = problem.params.p
+    lambda0_e = p * d.gamma_val
+    gamma_slope = problem.certificates.gamma_slope(d.V)
+    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
+    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
+    difference = J_A - J_fA
+    with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
+    without_weight = p * gamma_slope * np.outer(d.gradV, d.gradV)
+    return {
+        "difference": difference,
+        "with_input_weight_residual": float(np.max(np.abs(difference - with_weight))),
+        "without_input_weight_residual": float(
+            np.max(np.abs(difference - without_weight))),
+    }
 
 
 def _frozen_field(problem, lambda0, lam, indices):
@@ -130,8 +180,8 @@ def test_frozen_multiplier_jacobian_matches_fd(deadlock2d, fig1):
             lambda0 = float(rng.uniform(0.0, 3.0))
             indices = [1] if n == 2 else [1, 2]
             lam = rng.uniform(0.0, 3.0, size=len(indices))
-            J = frozen_multiplier_jacobian(problem, x, lambda0, lam, indices)
-            J_fd = finite_difference_jacobian(
+            J = _frozen_multiplier_jacobian(problem, x, lambda0, lam, indices)
+            J_fd = _finite_difference_jacobian(
                 _frozen_field(problem, lambda0, lam, indices), x)
             scale = max(1.0, float(np.max(np.abs(J))))
             assert np.max(np.abs(J - J_fd)) / scale < 1e-6
@@ -147,7 +197,7 @@ def test_equilibrium_field_jacobian_matches_fd(deadlock2d, fig1):
             indices = [1] if n == 2 else [1, 2]
             lam = rng.uniform(0.0, 3.0, size=len(indices))
             J = equilibrium_field_jacobian(problem, x, lam, indices)
-            J_fd = finite_difference_jacobian(
+            J_fd = _finite_difference_jacobian(
                 lambda y: equilibrium_field(problem, y, lam, indices), x)
             scale = max(1.0, float(np.max(np.abs(J))))
             assert np.max(np.abs(J - J_fd)) / scale < 1e-6
@@ -189,7 +239,7 @@ def test_dual_block_inverse_random_states(fig1):
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.uniform(-2.5, 2.5, size=3)
-        A, _ = assemble_dual(fig1, x)
+        A, _ = _dual(_PointData(fig1, x))
         for indices in ([1], [2], [1, 2]):
             sel = [0] + list(indices)
             A_sub = A[np.ix_(sel, sel)]
@@ -201,14 +251,14 @@ def test_dual_block_inverse_random_states(fig1):
 
 
 def test_complement_basis_euclidean():
-    basis = orthogonal_complement_basis([np.array([1.0, 0.0, 0.0])])
+    basis = _orthogonal_complement_basis([np.array([1.0, 0.0, 0.0])])
     assert np.allclose(basis, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_complement_basis_metric():
     """Columns are metric-orthogonal to the inputs and metric-orthonormal."""
     metric = np.diag([4.0, 9.0])
-    basis = orthogonal_complement_basis([np.array([1.0, 0.0])], metric=metric)
+    basis = _orthogonal_complement_basis([np.array([1.0, 0.0])], metric=metric)
     assert basis.shape == (2, 1)
     assert np.allclose(basis[:, 0], [0.0, 1.0 / 3.0])
 
@@ -219,24 +269,24 @@ def test_complement_basis_metric():
         root = rng.normal(size=(n, n))
         metric = root @ root.T + n * np.eye(n)
         vectors = rng.normal(size=(n, r))
-        basis = orthogonal_complement_basis(vectors, metric=metric)
+        basis = _orthogonal_complement_basis(vectors, metric=metric)
         assert basis.shape == (n, n - r)
         assert np.max(np.abs(vectors.T @ metric @ basis)) < 1e-8
         assert np.allclose(basis.T @ metric @ basis, np.eye(n - r), atol=1e-8)
 
 
 def test_complement_basis_full_span_is_empty():
-    basis = orthogonal_complement_basis(np.eye(2))
+    basis = _orthogonal_complement_basis(np.eye(2))
     assert basis.shape == (2, 0)
 
 
 def test_complement_basis_rejects_bad_input():
     with pytest.raises(PreconditionError):
-        orthogonal_complement_basis([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
+        _orthogonal_complement_basis([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
     with pytest.raises(PreconditionError):
-        orthogonal_complement_basis([np.array([1.0, 0.0])], metric=np.eye(3))
+        _orthogonal_complement_basis([np.array([1.0, 0.0])], metric=np.eye(3))
     with pytest.raises(PreconditionError):
-        orthogonal_complement_basis(
+        _orthogonal_complement_basis(
             [np.array([1.0, 0.0])], metric=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
@@ -244,7 +294,7 @@ def test_complement_basis_rejects_bad_input():
 
 
 def test_factorization_residual_deadlock(deadlock2d):
-    residual = verify_factorization(deadlock2d, X_DEADLOCK, [6.75], [1])
+    residual = _verify_factorization(deadlock2d, X_DEADLOCK, [6.75], [1])
     assert residual is not None and residual < 1e-12
 
 
@@ -262,7 +312,7 @@ def test_factorization_not_applicable():
             nominal=NominalController.linear_feedback(-np.eye(2))),
         tolerances=Tolerances(),
     )
-    assert verify_factorization(filter_like, X_DEADLOCK, [1.5], [1]) is None
+    assert _verify_factorization(filter_like, X_DEADLOCK, [1.5], [1]) is None
 
     singular_gram = ControlProblem(
         model=DynamicsModel.driftless(
@@ -278,7 +328,7 @@ def test_factorization_not_applicable():
             nominal=NominalController.zero(2)),
         tolerances=Tolerances(),
     )
-    assert verify_factorization(singular_gram, X_DEADLOCK, [1.0], [1]) is None
+    assert _verify_factorization(singular_gram, X_DEADLOCK, [1.0], [1]) is None
 
 
 # -- invariants at every bundled equilibrium ----------------------------------
@@ -299,7 +349,7 @@ def test_bundled_equilibria_jacobian_invariants(
             total += 1
             indices = list(rep.indices)
             bundle = closed_loop_jacobian(problem, rep.x_e, rep.lambda_e, indices)
-            J_fd = finite_difference_jacobian(
+            J_fd = _finite_difference_jacobian(
                 lambda y: closed_loop_field(problem, y), rep.x_e)
             scale = max(1.0, float(np.max(np.abs(bundle.J_fcl))))
             assert np.max(np.abs(bundle.J_fcl - J_fd)) / scale < 1e-5, scn.name
@@ -310,7 +360,7 @@ def test_bundled_equilibria_jacobian_invariants(
             assert np.max(np.abs(left)) / scale < 1e-6, scn.name
             assert np.max(np.abs(U_A.T @ bundle.P_UA)) < 1e-8, scn.name
 
-            residual = verify_factorization(problem, rep.x_e, rep.lambda_e, indices)
+            residual = _verify_factorization(problem, rep.x_e, rep.lambda_e, indices)
             if residual is not None:
                 assert residual < 1e-8, scn.name
     # fig1 has five, deadlock2d one, filter2d one per obstacle.
@@ -416,7 +466,7 @@ def test_duplicate_barrier_equilibrium_is_one_sided(dupcbf, dupcbf_scenario):
     inside = closed_loop_jacobian(dupcbf, x_e, lam, [2])
     assert np.allclose(outside.J_fcl, np.diag([-1.0, 9.0]), atol=1e-9)
     assert np.allclose(inside.J_fcl, np.diag([-2.0, 9.0]), atol=1e-9)
-    J_fd = finite_difference_jacobian(
+    J_fd = _finite_difference_jacobian(
         lambda y: closed_loop_field(dupcbf, y), x_e)
     assert abs(J_fd[0, 0] - (-1.5)) < 1e-5  # mean of the one-sided rates
     assert abs(J_fd[1, 1] - 9.0) < 1e-5

@@ -1,41 +1,64 @@
-"""Dynamics-model and nominal-controller evaluation, plus the
-finite-difference Jacobian helper they share."""
+"""Declarative plants and nominal controllers, evaluated through the
+ControlProblem that binds them, plus the finite-difference Jacobian helper
+the Jacobian tests use as their independent reference."""
 import numpy as np
 import pytest
 
 from clfcbf import (
+    CertificateSet,
+    ClassKappa,
+    ControlProblem,
+    ControllerParams,
     DynamicsModel,
     NominalController,
-    eval_drift,
-    eval_f_nom,
-    eval_f_nom_jacobian,
-    eval_gram,
-    eval_input_map,
-    finite_difference_jacobian,
+    QuadraticCertificate,
 )
-from clfcbf.errors import DimensionMismatchError, NumericalError
+from clfcbf.errors import DimensionMismatchError, InvalidParameterError, NumericalError
+from clfcbf.systems import _finite_difference_jacobian
 
 G0 = np.array([[1.0, 0.0, -2.0], [0.0, 1.0, 0.0], [-2.0, 0.0, 1.0]])
+
+
+def _problem(model, nominal=None, cost_metric=None):
+    """A one-barrier safety filter around ``model``: enough to evaluate it."""
+    n, m = model.n, model.m
+    return ControlProblem(
+        model=model,
+        certificates=CertificateSet(
+            cbfs=(QuadraticCertificate.barrier(
+                shape=np.eye(n), center=np.zeros(n), offset=-1.0),),
+            alphas=(ClassKappa(1.0),)),
+        params=ControllerParams(
+            mode="safety_filter", p=1.0,
+            cost_metric=np.eye(m) if cost_metric is None else cost_metric,
+            nominal=NominalController.zero(m) if nominal is None else nominal))
 
 
 def test_driftless_model_drift_is_zero():
     model = DynamicsModel.driftless(input_matrix=G0)
     x = np.array([1.0, 0.0, 3.0])
-    assert np.array_equal(eval_drift(model, x), np.zeros(3))
-    assert np.array_equal(eval_input_map(model, x), G0)
+    assert model.drift_kind == "zero"
+    assert np.array_equal(model.input_matrix, G0)
+    assert np.array_equal(_problem(model).f_nom(x), np.zeros(3))
 
 
 def test_linear_model_drift():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     model = DynamicsModel.linear(drift_matrix=A, input_matrix=np.eye(2))
     x = np.array([2.0, -3.0])
-    assert np.allclose(eval_drift(model, x), A @ x)
+    assert np.allclose(_problem(model).f_nom(x), A @ x)
+    assert np.array_equal(_problem(model).f_nom_jacobian(x), A)
+
+
+def test_input_matrix_is_required():
+    with pytest.raises(InvalidParameterError):
+        DynamicsModel(n=2, m=2)
 
 
 def test_gram_matrix_constant_input_map():
     # g0 g0^T for the non-diagonal 3-D input map, element-wise oracle.
     model = DynamicsModel.driftless(input_matrix=G0)
-    G = eval_gram(model, np.eye(3), np.zeros(3))
+    G = _problem(model).gram(np.zeros(3))
     expected = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
@@ -47,8 +70,8 @@ def test_gram_matrix_constant_input_map():
 def test_gram_matrix_respects_cost_metric():
     # G = g H^{-1} g^T: with H = 4 I the Gram matrix scales by 1/4.
     model = DynamicsModel.driftless(input_matrix=G0)
-    G_unit = eval_gram(model, np.eye(3), np.zeros(3))
-    G_scaled = eval_gram(model, 4.0 * np.eye(3), np.zeros(3))
+    G_unit = _problem(model).gram(np.zeros(3))
+    G_scaled = _problem(model, cost_metric=4.0 * np.eye(3)).gram(np.zeros(3))
     assert np.allclose(G_scaled, G_unit / 4.0, atol=1e-14)
 
 
@@ -61,7 +84,7 @@ def test_gram_matrix_is_symmetric_psd_random_maps():
         B = rng.standard_normal((m, m))
         H = B @ B.T + m * np.eye(m)
         model = DynamicsModel.driftless(input_matrix=g)
-        G = eval_gram(model, H, np.zeros(n))
+        G = _problem(model, cost_metric=H).gram(np.zeros(n))
         assert np.allclose(G, G.T, atol=1e-12)
         assert np.linalg.eigvalsh(G).min() >= -1e-12
 
@@ -74,34 +97,22 @@ def test_nominal_zero_and_linear_feedback():
     fb = NominalController.linear_feedback(K)
     y = np.array([3.0, -1.0])
     assert np.allclose(fb(y), K @ y)
-    assert np.allclose(fb.jacobian(y), K)
+    problem = _problem(DynamicsModel.driftless(input_matrix=np.eye(2)), fb)
+    assert np.allclose(problem.f_nom_jacobian(y), K)
 
 
 def test_f_nom_and_jacobian_linear_case():
     # f_nom = f + g u_nom; for the scalar filter with u_nom = -x this is -x,
     # and the analytic Jacobian matches finite differences.
     model = DynamicsModel.driftless(input_matrix=np.eye(2))
-    nominal = NominalController.linear_feedback(-np.eye(2))
+    problem = _problem(model, NominalController.linear_feedback(-np.eye(2)))
     x = np.array([4.0, 0.5])
-    f = eval_f_nom(model, nominal, x)
+    f = problem.f_nom(x)
     assert np.allclose(f, -x)
-    J = eval_f_nom_jacobian(model, nominal, x)
-    J_fd = finite_difference_jacobian(lambda z: eval_f_nom(model, nominal, z), x)
+    J = problem.f_nom_jacobian(x)
+    J_fd = _finite_difference_jacobian(problem.f_nom, x)
     assert np.allclose(J, -np.eye(2), atol=1e-12)
     assert np.allclose(J, J_fd, atol=1e-6)
-
-
-def test_generic_model_matches_callables():
-    def drift_fn(x):
-        return np.array([x[1], -np.sin(x[0])])
-
-    def input_fn(x):
-        return np.array([[0.0], [1.0 + 0.1 * x[0] ** 2]])
-
-    model = DynamicsModel.generic(n=2, m=1, drift_fn=drift_fn, input_fn=input_fn)
-    x = np.array([0.3, -0.7])
-    assert np.allclose(eval_drift(model, x), drift_fn(x))
-    assert np.allclose(eval_input_map(model, x), input_fn(x))
 
 
 def test_finite_difference_jacobian_polynomial_exactish():
@@ -110,7 +121,7 @@ def test_finite_difference_jacobian_polynomial_exactish():
         return np.array([x[0] ** 2 + 2.0 * x[1], 3.0 * x[0] * x[1]])
 
     x = np.array([1.5, -2.0])
-    J = finite_difference_jacobian(fn, x)
+    J = _finite_difference_jacobian(fn, x)
     expected = np.array([[3.0, 2.0], [-6.0, 4.5]])
     assert np.allclose(J, expected, atol=1e-8)
 
@@ -121,7 +132,7 @@ def test_finite_difference_jacobian_random_linear_maps():
         n = int(rng.integers(1, 6))
         A = rng.standard_normal((n, n))
         x = rng.standard_normal(n)
-        J = finite_difference_jacobian(lambda z: A @ z, x)
+        J = _finite_difference_jacobian(lambda z: A @ z, x)
         assert np.allclose(J, A, atol=1e-7)
 
 
@@ -130,10 +141,10 @@ def test_finite_difference_jacobian_rejects_nonfinite():
         return np.array([np.inf if x[0] > 1.0 else x[0]])
 
     with pytest.raises(NumericalError):
-        finite_difference_jacobian(fn, np.array([1.0]))
+        _finite_difference_jacobian(fn, np.array([1.0]))
 
 
 def test_dimension_mismatch_rejected():
-    model = DynamicsModel.driftless(input_matrix=G0)
+    problem = _problem(DynamicsModel.driftless(input_matrix=G0))
     with pytest.raises(DimensionMismatchError):
-        eval_drift(model, np.zeros(2))
+        problem.f_nom(np.zeros(2))

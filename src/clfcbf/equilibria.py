@@ -13,14 +13,22 @@ at an equilibrium it equals p gamma(V)).  Interior equilibria zero
 augmented system [f_A; h_A] from boundary-sampled seeds with NNLS
 multiplier estimates; every deduplicated root is validated against the
 actual QP solution at the root (:func:`validate_equilibrium`).
+:func:`find_interior_equilibria` draws no seeds: it enumerates every
+interior root from one eigenvalue problem and polishes each by Newton.
 """
 
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleQPError, InvalidParameterError
+from .errors import (
+    DimensionMismatchError,
+    InfeasibleQPError,
+    InvalidParameterError,
+    PreconditionError,
+)
 from .qp import CLF_ROW, _State, closed_loop_field, solve_pointwise
 from .stability import _equilibrium_field_jacobian
 
@@ -38,9 +46,13 @@ __all__ = [
 class SearchConfig:
     """Multistart and Newton settings for equilibrium searches.
 
-    ``box`` is an (n, 2) array of [low, high] bounds used for interior
-    seeding (and by the CLI samplers).  Seed counts are per active-index
-    set.  All randomness is drawn from ``numpy.random.default_rng(seed)``.
+    ``boundary_seeds`` is the seed count per active-index set of the
+    boundary search, drawn from ``numpy.random.default_rng(seed)``.
+    ``box`` is an (n, 2) array of [low, high] bounds the CLI samplers draw
+    from.  The interior search enumerates its roots and draws no seeds:
+    ``interior_seeds`` is accepted for scenario schema 1 and unused, and
+    neither ``seed`` nor ``box`` affects it.  ``newton_max_iter`` and
+    ``max_halvings`` bound every Newton run, the interior polish included.
     """
 
     box: np.ndarray
@@ -167,18 +179,59 @@ def _newton(system, z0, tol_res, tol_step, max_iter, max_halvings):
     return None
 
 
+def _nnls(A, b):
+    """argmin ||A x - b|| over x >= 0 (Lawson & Hanson's active-set method).
+
+    A^T A and A^T b steer the active set; a one-column subproblem takes the
+    closed form a^T b / a^T a and a larger one a least-squares solve on the
+    columns of A.  The systems here have a few columns, so the bookkeeping
+    runs on Python floats: NumPy calls would cost more than the arithmetic.
+    """
+    m, k = A.shape
+    if k == 1:
+        a = A[:, 0]
+        aa = float(a @ a)
+        return np.array([max(float(a @ b) / aa, 0.0) if aa > 0.0 else 0.0])
+    AtA = (A.T @ A).tolist()
+    Atb = (A.T @ b).tolist()
+    norm = max(AtA[i][i] for i in range(k)) ** 0.5
+    tol = 10.0 * np.finfo(float).eps * max(m, k) * norm
+    x = [0.0] * k
+    passive = []
+    for _ in range(3 * k):
+        free = [i for i in range(k) if i not in passive]
+        if not free:
+            break
+        grad = [Atb[i] - sum(AtA[i][j] * x[j] for j in passive) for i in free]
+        best = max(range(len(free)), key=grad.__getitem__)
+        if grad[best] <= tol:
+            break
+        passive.append(free[best])
+        while passive:
+            if len(passive) == 1:
+                i = passive[0]
+                z = [Atb[i] / AtA[i][i]]
+            else:
+                z = np.linalg.lstsq(A[:, passive], b, rcond=None)[0].tolist()
+            if min(z) > 0.0:
+                x = [0.0] * k
+                for i, v in zip(passive, z):
+                    x[i] = v
+                break
+            # step back to where the first passive variable reaches zero
+            alpha = min(x[i] / (x[i] - v) if x[i] > v else 0.0
+                        for i, v in zip(passive, z) if v <= 0.0)
+            for i, v in zip(passive, z):
+                x[i] += alpha * (v - x[i])
+            passive = [i for i in passive if x[i] > tol]
+            x = [x[i] if i in passive else 0.0 for i in range(k)]
+    return np.array(x)
+
+
 def _lambda_seed(d, cols, p):
     """Nonnegative least-squares fit of G U_A lam ~ p gamma(V) G grad V - f_nom."""
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import nnls
-
     target = p * d.gamma_val * (d.G @ d.gradV) - d.f_nom
-    basis = d.G @ d.U[:, cols]
-    try:
-        lam, _ = nnls(basis, target)
-    except Exception:
-        lam = np.zeros(len(cols))
-    return lam
+    return _nnls(d.G @ d.U[:, cols], target)
 
 
 def find_boundary_equilibria(problem, indices, config):
@@ -314,35 +367,189 @@ def validate_equilibrium(problem, report):
     return replace(report, validated=reason is None, failure_reason=reason)
 
 
+#: Relative tolerance of the interior enumeration's rank decisions: an
+#: eigenvalue tau is real when |Im tau| <= _PENCIL_RTOL |tau|, and a singular
+#: value of F - tau B is null when it is <= _PENCIL_RTOL times the largest.
+_PENCIL_RTOL = 1e-6
+#: A candidate is polished only when it solves its equations to this
+#: relative accuracy; Newton restores full accuracy from there.
+_POLISH_RTOL = 1e-3
+#: An eigenvalue at infinity (singular G) leaves eig as mu ~ eps^(1/k) / scale
+#: for a Jordan chain of length k <= 3, not as mu = 0; |mu| * scale <=
+#: _INFINITE_RTOL counts as infinite, which gives up roots whose tau lies
+#: more than 1 / _INFINITE_RTOL eigenvalue scales from the shift.
+_INFINITE_RTOL = 1e-4
+
+#: Shifts, in units of the pencil's eigenvalue scale, tried in turn for the
+#: shift-invert; the pencil is singular when P(shift) is singular at all three.
+_SHIFTS = (0.5772156649015329, -1.3247179572447460, 2.6854520010653062)
+
+
+def _positive_eigenvalues(P, rank_tol):
+    """Real, positive, finite eigenvalues of sum_k t^k P[k], ascending, and
+    the polynomial's eigenvalue scale; None when the polynomial is singular
+    (det P vanishes identically).
+
+    The polynomial of degree d is expanded about a shift s with P(s)
+    nonsingular and reversed, t = s + 1/mu, so that its dn x dn companion
+    matrix is monic in mu: a singular leading coefficient only adds
+    mu = 0 (t infinite).
+    """
+    d = len(P) - 1
+    n = P[0].shape[0]
+    norms = [float(np.linalg.norm(C, 2)) for C in P]
+    bounds = [(norms[k] / norms[d]) ** (1.0 / (d - k))
+              for k in range(d) if norms[k] > 0.0 and norms[d] > 0.0]
+    scale = max(bounds, default=1.0)
+    for unit in _SHIFTS:
+        s = scale * unit
+        # C[j] = P^(j)(s) / j!, the coefficients of P(s + r) in r
+        C = [sum(comb(k, j) * s ** (k - j) * P[k] for k in range(j, d + 1))
+             for j in range(d + 1)]
+        sv = np.linalg.svd(C[0], compute_uv=False)
+        if sv[-1] > rank_tol * float(sv[0]):
+            break
+    else:
+        return None
+    companion = np.zeros((d * n, d * n))
+    companion[:n] = -np.linalg.solve(C[0], np.hstack(C[1:]))
+    companion[n:, :(d - 1) * n] = np.eye((d - 1) * n)
+    mu = np.linalg.eigvals(companion)
+    tau = s + 1.0 / mu[np.abs(mu) * scale > _INFINITE_RTOL]
+    keep = (tau.real > 0.0) & (np.abs(tau.imag) <= _PENCIL_RTOL * np.abs(tau))
+    return np.sort(tau.real[keep]), scale
+
+
+def _solutions_at(tau, F, B, Q, beta, w, rhs, isolated):
+    """Candidate y at one eigenvalue tau, worth polishing.
+
+    Solves (F - tau B) y = -rhs with beta y^T Q y = tau: the SVD particular
+    solution plus at most a one-dimensional null-space term.  Keeps the
+    solutions that also solve (F - tau B) y = -w to _POLISH_RTOL.  When
+    ``isolated`` (rhs = w), a null space of dimension >= 2 that meets the
+    quadric in more than one point raises PreconditionError; otherwise a
+    null space of dimension >= 2 gives nothing.
+    """
+    M = F - tau * B
+    U, sv, Vt = np.linalg.svd(M)
+    null = sv <= _PENCIL_RTOL * float(sv[0])
+    keep = ~null
+    y = -Vt[keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
+
+    def consistent(y):
+        return np.linalg.norm(M @ y + w) <= _POLISH_RTOL * (
+            sv[0] * np.linalg.norm(y) + np.linalg.norm(w))
+
+    def solves(y):
+        return (abs(beta * float(y @ Q @ y) - tau) <= _POLISH_RTOL * tau
+                and consistent(y))
+
+    if np.count_nonzero(null) >= 2:
+        if not isolated or not consistent(y):
+            return []
+        # the point of y + range(N) where beta y^T Q y is least
+        N = Vt[null].T
+        y = y - N @ np.linalg.solve(N.T @ Q @ N, N.T @ Q @ y)
+        if beta * float(y @ Q @ y) < (1.0 - _POLISH_RTOL) * tau:
+            raise PreconditionError(
+                f"interior equilibria are not isolated: F - tau B has a null "
+                f"space of dimension {np.count_nonzero(null)} at tau = {tau:.6g}")
+        return [y] if solves(y) else []
+    ys = [y]
+    if null[-1]:
+        # y + t v with beta (y + t v)^T Q (y + t v) = tau
+        v = Vt[-1]
+        a, b = beta * float(v @ Q @ v), 2.0 * beta * float(y @ Q @ v)
+        root = np.sqrt(max(b * b - 4.0 * a * (beta * float(y @ Q @ y) - tau), 0.0))
+        ys = [y + ((-b - root) / (2.0 * a)) * v, y + ((-b + root) / (2.0 * a)) * v]
+    return [y for y in ys if solves(y)]
+
+
+def _interior_candidates(problem):
+    """Every interior root of f_nom - p gamma(V) G grad V, to eigenvalue accuracy.
+
+    With y = x - c_V, F the constant Jacobian of f_nom, B = G Q_V and
+    beta = 2 p k_gamma, the roots solve (F - tau B) y = -w, w = F c_V, with
+    tau = beta y^T Q_V y.  x = c_V is a root iff w = 0, and then every
+    other root has tau > 0 a real eigenvalue of F - tau B.  Otherwise every
+    root has tau > 0 a real eigenvalue of the cubic matrix polynomial
+    tau (F - tau B) Q_V^{-1} (F - tau B)^T - beta w w^T.  That polynomial
+    has every eigenvalue of F - tau B as a double eigenvalue when w = 0,
+    and nearly so when w is small, where eig resolves them poorly; so the
+    centre and the solutions from F - tau B are always candidates too.
+    Without a CLF the field is F x, whose only root is x = 0.
+
+    Raises PreconditionError when the roots are not isolated: the rank of
+    [F | B] is below n, the governing polynomial is singular, or F - tau B
+    has a null space of dimension >= 2 at one of its eigenvalues whose
+    solutions meet the quadric in a continuum.
+    """
+    tol = problem.tolerances
+    certs = problem.certificates
+    n = problem.n
+    F = problem.f_nom_jacobian(np.zeros(n))
+    B = np.zeros((n, n))
+    if certs.has_clf:
+        Q, c = certs.clf.shape, certs.clf.center
+        G = problem.gram(c)
+        B = G @ Q
+    sv = np.linalg.svd(np.hstack([F, B]), compute_uv=False)
+    rank = int(np.sum(sv > tol.rank * max(1.0, float(sv[0]))))
+    if rank < n:
+        raise PreconditionError(
+            f"interior equilibria are not isolated: numerical rank of [F | B] "
+            f"is {rank} < n = {n}")
+    if not certs.has_clf:
+        return [np.zeros(n)]
+    beta = 2.0 * problem.params.p * certs.gamma.gain
+    w = F @ c
+    centre_is_root = float(np.max(np.abs(w))) <= tol.newton_residual
+    # (coefficients, right-hand side, whether its roots must be isolated)
+    pencils = [((F, -B), np.zeros(n), centre_is_root)]
+    if not centre_is_root:
+        GF = G @ F.T
+        cubic = (-beta * np.outer(w, w), F @ np.linalg.solve(Q, F.T),
+                 -(GF + GF.T), G @ Q @ G)
+        pencils.append((cubic, w, True))
+    candidates = [c.copy()]
+    for P, rhs, isolated in pencils:
+        spectrum = _positive_eigenvalues(P, tol.rank)
+        if spectrum is None:
+            if isolated:
+                raise PreconditionError(
+                    "interior equilibria are not isolated: the eigenvalue "
+                    "pencil is singular")
+            continue
+        taus, scale = spectrum
+        for tau in taus:
+            # an eigenvalue within rounding of 0 is the root x = c_V
+            isolated_here = isolated and tau > _PENCIL_RTOL * scale
+            candidates += [c + y for y in _solutions_at(
+                tau, F, B, Q, beta, w, rhs, isolated_here)]
+    return candidates
+
+
 def find_interior_equilibria(problem, config):
     """Equilibria strictly inside the safe set: roots of f_nom - p gamma(V) G grad V.
 
-    Survivors must keep every barrier above the interior margin and the QP
-    at the root must leave every barrier row inactive; roots failing either
-    test are spurious for the closed loop and are dropped.
+    The roots are enumerated exhaustively from one eigenvalue problem (see
+    :func:`_interior_candidates`) and each is polished by Newton on the
+    interior field.  Survivors must keep every barrier above the interior
+    margin and the QP at the root must leave every barrier row inactive;
+    roots failing either test are spurious for the closed loop and are
+    dropped.  ``config`` supplies the Newton settings only: the search draws
+    no seeds, so ``interior_seeds``, ``seed`` and ``box`` do not affect it.
+
+    Raises
+    ------
+    PreconditionError
+        If the interior roots are not isolated: the numerical rank of
+        [F | B] is below n, the eigenvalue pencil is singular, or F - tau B
+        has a null space of dimension >= 2 at an eigenvalue tau whose
+        solutions form a continuum.
     """
-    n = problem.n
     p = problem.params.p
     tol = problem.tolerances
-    certs = problem.certificates
-    rng = np.random.default_rng(config.seed)
-
-    seeds = []
-    if certs.has_clf:
-        center = certs.clf.center
-        if np.all(certs.barrier_values(center) > 0.0):
-            seeds.append(center.astype(float))
-    lo, hi = config.box[:, 0], config.box[:, 1]
-    attempts = 0
-    while len(seeds) < config.interior_seeds and attempts < 200:
-        batch = rng.uniform(lo, hi, size=(max(config.interior_seeds, 8), n))
-        for x in batch:
-            if np.all(certs.barrier_values(x) > 0.0):
-                seeds.append(x)
-                if len(seeds) >= config.interior_seeds:
-                    break
-        attempts += 1
-
     no_lam = np.zeros(0)
 
     def system(x):
@@ -351,7 +558,7 @@ def find_interior_equilibria(problem, config):
             lambda: _equilibrium_field_jacobian(problem, d, no_lam, ())
 
     roots = []
-    for x0 in seeds:
+    for x0 in _interior_candidates(problem):
         x = _newton(system, x0, tol.newton_residual, tol.newton_step,
                     config.newton_max_iter, config.max_halvings)
         if x is None:

@@ -243,7 +243,7 @@ class _PointData(_State):
     """Everything the pointwise QP needs at one state, computed once."""
 
     __slots__ = ("H", "alpha", "c", "gT_gradV", "gT_U", "Hg_gradV", "Hg_U",
-                 "M_full", "v_full", "F_V", "F_h", "LfV", "Lfh")
+                 "M_full", "v_full", "F_V", "F_h")
 
     def __init__(self, problem, x):
         super().__init__(problem, x)
@@ -258,8 +258,6 @@ class _PointData(_State):
         GU = self.G @ self.U
         self.M_full = self.U.T @ GU
         self.v_full = self.U.T @ G_gradV
-        self.LfV = float(self.gradV @ self.f)
-        self.Lfh = self.U.T @ self.f
         self.F_V = float(self.gradV @ self.f_nom) + self.gamma_val
         self.F_h = self.U.T @ self.f_nom + self.alpha
 

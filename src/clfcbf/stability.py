@@ -257,40 +257,6 @@ def _orthogonal_complement_basis(vectors, metric=None):
     return np.zeros((n, 0))
 
 
-def _verify_factorization(problem, x_e, lam, indices):
-    """Residual of the congruence factorization of the deflated Jacobian.
-
-    Checks that P J_A - gamma'(V)/c * G grad V grad V^T equals
-    (B^T)^{-1} D B^T J_fA with B = [grad V | basis of {G grad V}^perp] and
-    D = diag(1/(p c), I): the deflated multiplier-frozen Jacobian is
-    congruent to the equilibrium-field Jacobian, which is why the latter
-    decides stability.  Returns the relative residual, or None when the
-    factorization does not apply (grad V = 0 or singular G).
-    """
-    indices = tuple(int(i) for i in indices)
-    lam = np.asarray(lam, dtype=float).ravel()
-    d = _PointData(problem, x_e)
-    tol = problem.tolerances
-    n = d.x.shape[0]
-    if float(np.max(np.abs(d.gradV))) < 1e-12:
-        return None
-    g_sv = np.linalg.svd(d.G, compute_uv=False)
-    if g_sv[-1] <= tol.rank * max(1.0, float(g_sv[0])):
-        return None
-    p = problem.params.p
-    lambda0_e = p * d.gamma_val
-    gamma_slope = problem.certificates.gamma_slope(d.V)
-    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
-    P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
-    lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
-    W = _orthogonal_complement_basis([d.G @ d.gradV])
-    B = np.column_stack([d.gradV, W])
-    D = np.diag(np.concatenate([[1.0 / (p * d.c)], np.ones(n - 1)]))
-    rhs = np.linalg.solve(B.T, D @ B.T @ J_fA)
-    return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))))
-
-
 def classify(problem, x_e, lam, indices):
     """Classify a boundary equilibrium by the tangent-space curvature test.
 

@@ -1,5 +1,6 @@
 """Boundary/interior equilibrium location: hand anchors, a dense grid-scan
 oracle over the boundary curves, and the validation semantics."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,16 @@ import pytest
 
 import clfcbf.equilibria as equilibria
 from clfcbf import (
+    MODES,
+    CertificateSet,
+    ClassKappa,
+    ControllerParams,
+    ControlProblem,
+    DynamicsModel,
     EquilibriumReport,
+    NominalController,
+    PreconditionError,
+    QuadraticCertificate,
     SearchConfig,
     closed_loop_field,
     equilibrium_field,
@@ -19,6 +29,7 @@ from clfcbf import (
     validate_equilibrium,
 )
 from clfcbf.cli import _sample_safe_states
+from oracles import multistart_interior_equilibria
 
 DEADLOCK_SEARCH = SearchConfig(
     box=np.array([[-6.0, 6.0], [-6.0, 6.0]]), boundary_seeds=64, interior_seeds=32,
@@ -208,6 +219,146 @@ def test_interior_equilibrium_filter2d_origin(filter2d, filter2d_scenario):
     assert np.allclose(reports[0].x_e, np.zeros(2), atol=1e-10)
 
 
+def _spd(rng, n, lo, hi):
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    S = Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def random_interior_problem(rng, n, mode, drift, centred):
+    """m = n plant, zero or linear drift, two obstacles 2.5-3.5 from the
+    origin, and a CLF centred at the origin or up to 1 away from it."""
+    while True:
+        g = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        if np.linalg.cond(g) < 4.0:
+            break
+    model = (DynamicsModel.linear(0.8 * rng.normal(size=(n, n)), g) if drift
+             else DynamicsModel.driftless(g))
+    nominal = (NominalController.zero(n) if mode == "clf_cbf"
+               else NominalController.linear_feedback(0.8 * rng.normal(size=(n, n))))
+    cbfs = []
+    for _ in range(2):
+        direction = rng.normal(size=n)
+        direction /= np.linalg.norm(direction)
+        cbfs.append(QuadraticCertificate.barrier(
+            _spd(rng, n, 0.5, 1.5), rng.uniform(2.5, 3.5) * direction, -1.0))
+    clf = gamma = None
+    if mode != "safety_filter":
+        center = np.zeros(n) if centred else rng.uniform(-1.0, 1.0, n)
+        clf = QuadraticCertificate.clf(_spd(rng, n, 0.3, 1.0), center)
+        gamma = ClassKappa(rng.uniform(0.5, 2.0))
+    certificates = CertificateSet(cbfs=tuple(cbfs),
+                                  alphas=(ClassKappa(1.0), ClassKappa(1.5)),
+                                  clf=clf, gamma=gamma)
+    params = ControllerParams(mode=mode, p=rng.uniform(0.5, 2.0),
+                              cost_metric=_spd(rng, n, 0.5, 2.0), nominal=nominal)
+    return ControlProblem(model=model, certificates=certificates, params=params)
+
+
+def interior_sweep(seed, reps=2):
+    """Seeded problems over n, mode, drift and CLF centre (safety-filter
+    problems have no CLF, so no centre variants)."""
+    rng = np.random.default_rng(seed)
+    for n, mode, drift, centred, _ in itertools.product(
+            (2, 3, 4), MODES, (False, True), (True, False), range(reps)):
+        if mode == "safety_filter" and not centred:
+            continue
+        yield random_interior_problem(rng, n, mode, drift, centred)
+
+
+def test_interior_enumeration_contains_every_multistart_root():
+    # The reference is the rejection-sampled multistart Newton search the
+    # enumeration replaced: every root it finds in its box is enumerated.
+    reference_roots = off_centre = 0
+    for problem in interior_sweep(2024):
+        box = np.array([[-4.0, 4.0]] * problem.n)
+        config = SearchConfig(box=box, interior_seeds=32, seed=7)
+        reports = find_interior_equilibria(problem, config)
+        assert all(rep.validated and rep.residual_field <= 1e-10 for rep in reports)
+        found = [rep.x_e for rep in reports]
+        for x in multistart_interior_equilibria(problem, config):
+            if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+                continue
+            reference_roots += 1
+            if problem.certificates.has_clf:
+                off_centre += np.linalg.norm(x - problem.certificates.clf.center) > 1e-3
+            assert any(np.linalg.norm(x - y) <= 1e-6 for y in found), (x, found)
+    # the sweep exercises roots away from the CLF centre, not just the centre
+    assert reference_roots >= 80 and off_centre >= 30
+
+
+def test_interior_reports_ignore_seed_count_seed_and_box(fig1, filter2d):
+    # The enumeration draws no seeds: interior_seeds, seed and box are
+    # accepted for schema 1 and change nothing, bit for bit.
+    problems = [fig1, filter2d] + [p for p in interior_sweep(5, reps=1)
+                                   if p.params.mode == "generalized"]
+    for problem in problems:
+        n = problem.n
+        configs = [SearchConfig(box=[[-4.0, 4.0]] * n, interior_seeds=32, seed=0),
+                   SearchConfig(box=[[-0.5, 9.0]] * n, interior_seeds=1, seed=91),
+                   SearchConfig(box=[[-40.0, 1.0]] * n, interior_seeds=0, seed=3)]
+        first, *rest = [find_interior_equilibria(problem, c) for c in configs]
+        for other in rest:
+            assert len(other) == len(first)
+            for a, b in zip(first, other):
+                for name in a.__dataclass_fields__:
+                    va, vb = getattr(a, name), getattr(b, name)
+                    if isinstance(va, np.ndarray):
+                        assert np.array_equal(va, vb), name
+                    else:
+                        assert va == vb, name
+
+
+def _small_problem(A, g, Q=None, center=None, mode="clf_cbf"):
+    """u_nom = 0, drift A (None: zero), V = (x - center)^T Q (x - center)
+    (Q None: no CLF; center None: the origin), one far obstacle, p = 1."""
+    g = np.asarray(g, dtype=float)
+    n, m = g.shape
+    model = DynamicsModel.driftless(g) if A is None else DynamicsModel.linear(A, g)
+    clf = gamma = None
+    if Q is not None:
+        center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+        clf, gamma = QuadraticCertificate.clf(Q, center), ClassKappa(1.0)
+    certificates = CertificateSet(
+        cbfs=(QuadraticCertificate.barrier(np.eye(n), np.full(n, 5.0), -1.0),),
+        alphas=(ClassKappa(1.0),), clf=clf, gamma=gamma)
+    params = ControllerParams(mode=mode, p=1.0, cost_metric=np.eye(m),
+                              nominal=NominalController.zero(m))
+    return ControlProblem(model=model, certificates=certificates, params=params)
+
+
+@pytest.mark.parametrize("problem, message", [
+    # zero drift, one input in the plane: the field never leaves range(g)
+    (_small_problem(None, [[1.0], [0.0]], np.eye(2)), "rank of [F | B] is 1"),
+    # safety filter with f_nom = 0: every safe state is an equilibrium
+    (_small_problem(None, np.eye(2), mode="safety_filter"), "rank of [F | B] is 0"),
+    # F - tau B has the null vector e_2 for every tau: the line x_1 = 0
+    (_small_problem(np.diag([1.0, 0.0]), [[1.0], [-1.0]], [[2.0, 1.0], [1.0, 1.0]]),
+     "pencil is singular"),
+    # F = I, B = I / 2: the whole circle beta |x|^2 / 2 = 2 is equilibria
+    (_small_problem(np.eye(2), np.eye(2), 0.5 * np.eye(2)), "dimension 2 at tau = 2"),
+])
+def test_non_isolated_interior_equilibria_are_rejected(problem, message):
+    config = SearchConfig(box=[[-4.0, 4.0]] * 2)
+    with pytest.raises(PreconditionError, match="not isolated") as err:
+        find_interior_equilibria(problem, config)
+    assert message in str(err.value)
+
+
+def test_double_null_space_without_solutions_is_no_continuum():
+    # F = diag(1, 1, 2), B = I: F - tau B has the null space span(e1, e2)
+    # at tau = 1, but F c_V = (1, -1, 0) is not in its range, so no root
+    # has tau = 1.  The isolated root (s, -s, 0) with s = 4 (s - 1)^3 is
+    # still enumerated.
+    problem = _small_problem(np.diag([1.0, 1.0, 2.0]), np.eye(3), np.eye(3),
+                             center=[1.0, -1.0, 0.0])
+    reports = find_interior_equilibria(problem, SearchConfig(box=[[-4.0, 4.0]] * 3))
+    assert reports and all(rep.validated for rep in reports)
+    s = next(rep.x_e[0] for rep in reports
+             if abs(rep.x_e[0] + rep.x_e[1]) < 1e-9 and abs(rep.x_e[2]) < 1e-9)
+    assert s == pytest.approx(4.0 * (s - 1.0) ** 3, abs=1e-9)
+
+
 # --- validation semantics -------------------------------------------------------
 
 
@@ -361,9 +512,38 @@ def test_no_equilibria_where_clf_row_inactive(name):
     assert seen_inactive >= 0
 
 
-def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # The multiplier seed imports scipy.optimize on first use, so
-    # commands that never search for equilibria do not pay for it.
+def test_nnls_matches_scipy():
+    # Full column rank: the same unique minimizer.  Rank deficient (a zero
+    # matrix, twin columns, a scaled copy of a column): the minimizer is not
+    # unique, so the residual norm is compared.  One column takes the
+    # closed form.
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(11)
+    cases = [(np.zeros((3, 2)), np.ones(3), True),
+             (np.array([[1.0, -1.0], [1.0, -1.0]]), np.ones(2), True),
+             (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([-1.0, 3.0]), True)]
+    for trial in range(600):
+        m, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        A = rng.normal(size=(m, k))
+        deficient = k > 1 and trial % 3 == 0
+        if deficient:
+            A[:, -1] = rng.normal() * A[:, 0]
+        cases.append((A, rng.normal(size=m), deficient))
+    for A, b, deficient in cases:
+        x = equilibria._nnls(A, b)
+        x_ref, r_ref = nnls(A, b)
+        assert x.shape == (A.shape[1],) and np.all(x >= 0.0)
+        # rounding of A x_ref - b, with x_ref up to ~1e3 on these draws
+        scale = np.linalg.norm(A, 2) * np.linalg.norm(x_ref) + np.linalg.norm(b)
+        assert abs(np.linalg.norm(A @ x - b) - r_ref) <= 1e-12 * scale
+        unique = np.linalg.matrix_rank(A) == A.shape[1] and np.linalg.cond(A) < 1e6
+        if not deficient and unique:
+            assert np.allclose(x, x_ref, rtol=1e-10, atol=1e-12), (A, b)
+
+
+def _run_python(*args):
+    """Run a fresh interpreter on this checkout's package; return the result."""
     import os
     import subprocess
     import sys
@@ -375,8 +555,23 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     src = str(Path(clfcbf.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, clfcbf; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # The package imports no SciPy module at all.
+    out = _run_python(
+        "-c", "import sys, clfcbf; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d"])
+def test_equilibria_command_loads_no_scipy(name, tmp_path):
+    # -X importtime lists every module the run imports on stderr.
+    out = _run_python("-X", "importtime", "-m", "clfcbf", "equilibria",
+                      "--scenario", name, "--out", str(tmp_path))
+    imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "clfcbf.equilibria" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []

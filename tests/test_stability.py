@@ -37,9 +37,9 @@ from clfcbf.stability import (
     _equilibrium_field_jacobian,
     _frozen_multiplier_jacobian,
     _orthogonal_complement_basis,
-    _verify_factorization,
 )
 from clfcbf.systems import _finite_difference_jacobian
+from oracles import verify_factorization
 
 X_DEADLOCK = np.array([3.0, 0.0])
 
@@ -294,7 +294,7 @@ def test_complement_basis_rejects_bad_input():
 
 
 def test_factorization_residual_deadlock(deadlock2d):
-    residual = _verify_factorization(deadlock2d, X_DEADLOCK, [6.75], [1])
+    residual = verify_factorization(deadlock2d, X_DEADLOCK, [6.75], [1])
     assert residual is not None and residual < 1e-12
 
 
@@ -312,7 +312,7 @@ def test_factorization_not_applicable():
             nominal=NominalController.linear_feedback(-np.eye(2))),
         tolerances=Tolerances(),
     )
-    assert _verify_factorization(filter_like, X_DEADLOCK, [1.5], [1]) is None
+    assert verify_factorization(filter_like, X_DEADLOCK, [1.5], [1]) is None
 
     singular_gram = ControlProblem(
         model=DynamicsModel.driftless(
@@ -328,7 +328,7 @@ def test_factorization_not_applicable():
             nominal=NominalController.zero(2)),
         tolerances=Tolerances(),
     )
-    assert _verify_factorization(singular_gram, X_DEADLOCK, [1.0], [1]) is None
+    assert verify_factorization(singular_gram, X_DEADLOCK, [1.0], [1]) is None
 
 
 # -- invariants at every bundled equilibrium ----------------------------------
@@ -360,7 +360,7 @@ def test_bundled_equilibria_jacobian_invariants(
             assert np.max(np.abs(left)) / scale < 1e-6, scn.name
             assert np.max(np.abs(U_A.T @ bundle.P_UA)) < 1e-8, scn.name
 
-            residual = _verify_factorization(problem, rep.x_e, rep.lambda_e, indices)
+            residual = verify_factorization(problem, rep.x_e, rep.lambda_e, indices)
             if residual is not None:
                 assert residual < 1e-8, scn.name
     # fig1 has five, deadlock2d one, filter2d one per obstacle.

@@ -111,6 +111,19 @@ def _columns(indices, n_barriers):
     return [i - 1 for i in _check_indices(indices, n_barriers)]
 
 
+def _quadrics(shapes, centers, offsets, X):
+    """Values (K, r) and gradients (K, r, n) of r stacked quadrics at K states.
+
+    Every product is a matmul over leading batch axes whose items are the
+    vector-matrix, matrix-vector and dot products of
+    :meth:`QuadraticCertificate.value` and :meth:`QuadraticCertificate.gradient`,
+    so each entry equals that method at that state, bit for bit, whatever K.
+    """
+    d = X[:, None, :] - centers
+    values = ((d[:, :, None, :] @ shapes) @ d[..., None])[..., 0, 0] + offsets
+    return values, 2.0 * (shapes @ d[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class CertificateSet:
     """A CLF (optional, absent exactly in safety-filter mode) plus N >= 1 CBFs.

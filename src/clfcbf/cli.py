@@ -268,12 +268,15 @@ def cmd_equilibria(args):
     out = _ensure_outdir(args.out)
     n, N = problem.n, problem.n_barriers
 
+    # first, so that a continuum of interior equilibria ends the command
+    # before any boundary search runs; the report still lists boundary first
+    interior = find_interior_equilibria(problem, scenario.search)
     entries = []
     for r in range(1, min(n, N) + 1):
         for combo in itertools.combinations(range(1, N + 1), r):
             for rep in find_boundary_equilibria(problem, combo, scenario.search):
                 entries.append(_classify_entry(problem, rep))
-    for rep in find_interior_equilibria(problem, scenario.search):
+    for rep in interior:
         entries.append(_classify_entry(problem, rep))
 
     report = _report(scenario, {"equilibria": {

@@ -15,6 +15,13 @@ multiplier estimates; every deduplicated root is validated against the
 actual QP solution at the root (:func:`validate_equilibrium`).
 :func:`find_interior_equilibria` draws no seeds: it enumerates every
 interior root from one eigenvalue problem and polishes each by Newton.
+
+Both searches run Newton in lockstep (:func:`_newton`): all seeds advance
+together on one stacked evaluation of the system and one stacked linear
+solve per iteration, while each seed keeps its own residual, step and
+step halvings.  The evaluation computes every row exactly as it would
+alone, so a seed's root is the same bit for bit as from a Newton run on
+that seed by itself.
 """
 
 from dataclasses import dataclass, replace
@@ -29,8 +36,9 @@ from .errors import (
     InvalidParameterError,
     PreconditionError,
 )
-from .qp import CLF_ROW, _State, closed_loop_field, solve_pointwise
-from .stability import _equilibrium_field_jacobian
+from .certificates import _quadrics
+from .qp import CLF_ROW, closed_loop_field, solve_pointwise
+from .stability import _EquilibriumSystem, _stack_of_one
 
 __all__ = [
     "SearchConfig",
@@ -52,7 +60,10 @@ class SearchConfig:
     from.  The interior search enumerates its roots and draws no seeds:
     ``interior_seeds`` is accepted for scenario schema 1 and unused, and
     neither ``seed`` nor ``box`` affects it.  ``newton_max_iter`` and
-    ``max_halvings`` bound every Newton run, the interior polish included.
+    ``max_halvings`` bound the Newton run from every seed, the interior
+    polish included.  The seeds of one search advance in lockstep, but
+    each stops on its own bounds, and its root does not depend on the
+    other seeds.
     """
 
     box: np.ndarray
@@ -96,13 +107,8 @@ class EquilibriumReport:
 
 def equilibrium_field(problem, x, lam, indices):
     """f_A(x, lam): the field whose roots on the active boundaries are equilibria."""
-    indices = tuple(int(i) for i in indices)
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape[0] != len(indices):
-        raise DimensionMismatchError(
-            f"{lam.shape[0]} multipliers for {len(indices)} active indices")
-    return _State(problem, x).equilibrium_field(
-        problem.params.p, [i - 1 for i in indices], lam)
+    system, z = _stack_of_one(problem, x, lam, indices)
+    return system(z)[0][0, :system.n]
 
 
 def _boundary_samples(certificate, count, rng):
@@ -120,63 +126,112 @@ def _boundary_samples(certificate, count, rng):
     return certificate.center + np.sqrt(-certificate.offset) * radial
 
 
-def _project_to_boundaries(certs, indices, x, sweeps=50, tol=1e-6):
-    """Alternating per-barrier Newton steps along each gradient; None if stuck."""
-    x = x.copy()
-    for _ in range(sweeps):
-        worst = 0.0
-        for i in indices:
-            b = certs.cbfs[i - 1]
-            val = b.value(x)
-            grad = b.gradient(x)
-            norm2 = float(grad @ grad)
-            if norm2 < 1e-14:
-                return None
-            x = x - (val / norm2) * grad
-            worst = max(worst, abs(val))
-        if worst <= tol:
-            vals = [abs(certs.cbfs[i - 1].value(x)) for i in indices]
-            if max(vals) <= tol:
-                return x
-    return None
+def _project_to_boundaries(certs, indices, X, sweeps=50, tol=1e-6):
+    """Alternating per-barrier Newton steps along each gradient, every row of
+    X at once; the rows that reach all the boundaries, in order.
 
-
-def _newton(system, z0, tol_res, tol_step, max_iter, max_halvings):
-    """Damped Newton; returns the root or None.
-
-    ``system(z)`` evaluates the state once and returns ``(F(z), jacobian)``,
-    where ``jacobian()`` builds J(z) from that same evaluation.  It is
-    called only at accepted iterates, never at line-search trial points.
+    Each row follows its own projection: it stops when a sweep starts
+    within ``tol`` of every boundary and ends there too, and is dropped
+    when a gradient vanishes or ``sweeps`` sweeps do not bring it there.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    Fz, jacobian = system(z)
-    if not np.all(np.isfinite(Fz)):
-        return None
-    res = float(np.max(np.abs(Fz)))
+    X = X.copy()
+    running = np.ones(X.shape[0], dtype=bool)
+    reached = np.zeros(X.shape[0], dtype=bool)
+    cols = [[i - 1] for i in indices]
+
+    def quadric(col):
+        h, grad = _quadrics(certs.shapes[col], certs.centers[col],
+                            certs.offsets[col], X)
+        return h[:, 0], grad[:, 0]
+
+    for _ in range(sweeps):
+        worst = np.zeros(X.shape[0])
+        for col in cols:
+            val, grad = quadric(col)
+            norm2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+            running &= norm2 >= 1e-14
+            X[running] -= (val[running] / norm2[running])[:, None] * grad[running]
+            worst = np.fmax(worst, np.abs(val))
+        close = running & (worst <= tol)
+        if close.any():
+            worst = np.max([np.abs(quadric(col)[0]) for col in cols], axis=0)
+            close &= worst <= tol
+            reached |= close
+            running &= ~close
+        if not running.any():
+            break
+    return X[reached]
+
+
+def _solve_stack(J, b):
+    """Solutions of J[k] s = b[k]: one stacked solve, or, when some J[k] is
+    singular, a solve for each row with a least-squares fallback."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for k in range(b.shape[0]):
+            try:
+                out[k] = np.linalg.solve(J[k], b[k])
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.lstsq(J[k], b[k], rcond=None)[0]
+        return out
+
+
+def _newton(system, Z0, tol_res, tol_step, max_iter, max_halvings):
+    """Damped Newton from every row of Z0 in lockstep; one root or None per row.
+
+    ``system(Z)`` evaluates a stack of points once and returns their values
+    and Jacobians, row k bit for bit as for a stack of one.  Each row keeps
+    its own residual, step and step halvings: it takes the full Newton
+    step, or halves it until the residual decreases (or meets
+    ``tol_res``), and fails after ``max_halvings`` halvings, on a
+    non-finite value or step, or after ``max_iter`` steps.  It converges
+    once the residual meets ``tol_res`` and the step ``tol_step`` relative
+    to max(1, |z|).  Every running row's step comes from one stacked solve
+    and the trial points of the rows still halving are evaluated as one
+    stack, so each row returns exactly what a Newton run from it alone
+    would.
+    """
+    Z = np.array(Z0, dtype=float)
+    F, J = system(Z)
+    res = np.max(np.abs(F), axis=1)
+    running = np.all(np.isfinite(F), axis=1)
+    roots = [None] * Z.shape[0]
     for _ in range(max_iter):
-        Jz = jacobian()
-        try:
-            step = np.linalg.solve(Jz, -Fz)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(Jz, -Fz, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            return None
-        scale = 1.0
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            break
+        step = _solve_stack(J[rows], -F[rows])
+        finite = np.all(np.isfinite(step), axis=1)
+        running[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        scale = np.ones(rows.size)
+        halving = np.arange(rows.size)
         for _ in range(max_halvings + 1):
-            z_new = z + scale * step
-            F_new, jacobian_new = system(z_new)
-            res_new = float(np.max(np.abs(F_new))) if np.all(np.isfinite(F_new)) \
-                else np.inf
-            if res_new < res or res_new <= tol_res:
+            trial = Z[rows[halving]] + scale[halving, None] * step[halving]
+            F_new, J_new = system(trial)
+            res_new = np.where(np.all(np.isfinite(F_new), axis=1),
+                               np.max(np.abs(F_new), axis=1), np.inf)
+            accept = (res_new < res[rows[halving]]) | (res_new <= tol_res)
+            taken = rows[halving[accept]]
+            Z[taken], F[taken], J[taken] = trial[accept], F_new[accept], J_new[accept]
+            res[taken] = res_new[accept]
+            halving = halving[~accept]
+            if not halving.size:
                 break
-            scale *= 0.5
-        else:
-            return None
-        z, Fz, jacobian, res = z_new, F_new, jacobian_new, res_new
-        step_inf = float(np.max(np.abs(scale * step)))
-        if res <= tol_res and step_inf <= tol_step * max(1.0, float(np.max(np.abs(z)))):
-            return z
-    return None
+            scale[halving] *= 0.5
+        running[rows[halving]] = False
+        moved = np.ones(rows.size, dtype=bool)
+        moved[halving] = False
+        rows, step, scale = rows[moved], step[moved], scale[moved]
+        step_inf = np.max(np.abs(scale[:, None] * step), axis=1)
+        done = (res[rows] <= tol_res) & (
+            step_inf <= tol_step * np.maximum(1.0, np.max(np.abs(Z[rows]), axis=1)))
+        for k in rows[done]:
+            roots[k] = Z[k].copy()
+        running[rows[done]] = False
+    return roots
 
 
 def _nnls(A, b):
@@ -228,14 +283,22 @@ def _nnls(A, b):
     return np.array(x)
 
 
-def _lambda_seed(d, cols, p):
-    """Nonnegative least-squares fit of G U_A lam ~ p gamma(V) G grad V - f_nom."""
-    target = p * d.gamma_val * (d.G @ d.gradV) - d.f_nom
-    return _nnls(d.G @ d.U[:, cols], target)
+def _report_order(report):
+    """Sort key: x_e rounded to 9 decimals, -0.0 folded into +0.0, so roots
+    that differ only by rounding keep their seed order."""
+    return tuple(np.round(report.x_e, 9) + 0.0)
 
 
 def find_boundary_equilibria(problem, indices, config):
     """Locate boundary equilibria for one active-index set.
+
+    ``config.boundary_seeds`` points are drawn on the first active
+    boundary and, when |A| > 1, projected onto the others.  Each seed
+    starts Newton on the augmented system [f_A; h_A] from a nonnegative
+    least-squares multiplier estimate.  All seeds advance together: one
+    stacked evaluation and one stacked solve per Newton iteration, yet
+    every seed takes exactly the steps it would take alone, so the roots
+    do not depend on how many seeds share the search.
 
     Parameters
     ----------
@@ -247,7 +310,8 @@ def find_boundary_equilibria(problem, indices, config):
     Returns
     -------
     list of EquilibriumReport
-        Deduplicated, validated, sorted by x_e.  Roots with any multiplier
+        Deduplicated in seed order, validated, and sorted by x_e rounded
+        to 9 decimals (ties keep seed order).  Roots with any multiplier
         below -1e-6 are discarded; an empty list means the seeded
         intersection was empty or Newton found nothing.
     """
@@ -263,65 +327,44 @@ def find_boundary_equilibria(problem, indices, config):
     tol = problem.tolerances
     rng = np.random.default_rng(config.seed)
 
-    seeds = []
-    base = _boundary_samples(certs.cbfs[indices[0] - 1], config.boundary_seeds, rng)
-    for x0 in base:
-        if r > 1:
-            x0 = _project_to_boundaries(certs, indices, x0)
-            if x0 is None:
-                continue
-        seeds.append(x0)
-    if not seeds:
+    seeds = _boundary_samples(certs.cbfs[indices[0] - 1], config.boundary_seeds, rng)
+    if r > 1:
+        seeds = _project_to_boundaries(certs, indices, seeds)
+    if not seeds.shape[0]:
         return []
 
-    cols = [i - 1 for i in indices]
-
-    def system(z):
-        lam = z[n:]
-        d = _State(problem, z[:n])
-
-        def jacobian():
-            U_A = d.U[:, cols]
-            top = np.hstack([
-                _equilibrium_field_jacobian(problem, d, lam, indices),
-                d.G @ U_A,
-            ])
-            bottom = np.hstack([U_A.T, np.zeros((r, r))])
-            return np.vstack([top, bottom])
-
-        return np.concatenate([d.equilibrium_field(p, cols, lam), d.h[cols]]), jacobian
-
+    system = _EquilibriumSystem(problem, indices)
+    # at lam = 0: f_A = f_nom - p gamma(V) G grad V and the Jacobian's
+    # top-right block is G U_A, the two sides of the multiplier fit
+    F0, J0 = system(np.hstack([seeds, np.zeros((seeds.shape[0], r))]))
+    lam0 = np.array([_nnls(J0[k, :n, n:], -F0[k, :n]) for k in range(seeds.shape[0])])
     roots = []
-    for x0 in seeds:
-        d0 = _State(problem, x0)
-        lam0 = _lambda_seed(d0, cols, p)
-        z = _newton(system, np.concatenate([x0, lam0]),
-                    tol.newton_residual, tol.newton_step,
-                    config.newton_max_iter, config.max_halvings)
-        if z is None:
-            continue
-        if float(np.min(z[n:])) < -1e-6:
+    for z in _newton(system, np.hstack([seeds, lam0]),
+                     tol.newton_residual, tol.newton_step,
+                     config.newton_max_iter, config.max_halvings):
+        if z is None or float(np.min(z[n:])) < -1e-6:
             continue
         if not any(np.linalg.norm(z - seen) <= tol.dedup for seen in roots):
             roots.append(z)
+    if not roots:
+        return []
 
+    values = system(np.array(roots))[0]
     reports = []
-    for z in roots:
+    for z, F in zip(roots, values):
         x_e, lam = z[:n], z[n:]
-        d = _State(problem, x_e)
-        field = d.equilibrium_field(p, cols, lam)
         report = EquilibriumReport(
             x_e=x_e,
             kind="boundary",
             indices=indices,
             lambda_e=lam,
-            lambda0_e=p * d.gamma_val,
-            residual_field=float(np.max(np.abs(field))),
-            residual_boundary=float(np.max(np.abs(d.h[cols]))),
+            lambda0_e=p * certs.gamma_value(certs.clf_value(x_e)),
+            residual_field=float(np.max(np.abs(F[:n]))),
+            residual_boundary=float(np.max(np.abs(F[n:]))),
             degenerate=bool(np.any(np.abs(lam) <= tol.validate)),
         )
         reports.append(validate_equilibrium(problem, report))
-    reports.sort(key=lambda rep: tuple(rep.x_e))
+    reports.sort(key=_report_order)
     return reports
 
 
@@ -550,26 +593,22 @@ def find_interior_equilibria(problem, config):
     """
     p = problem.params.p
     tol = problem.tolerances
-    no_lam = np.zeros(0)
-
-    def system(x):
-        d = _State(problem, x)
-        return d.equilibrium_field(p, [], no_lam), \
-            lambda: _equilibrium_field_jacobian(problem, d, no_lam, ())
-
+    certs = problem.certificates
+    system = _EquilibriumSystem(problem, ())
     roots = []
-    for x0 in _interior_candidates(problem):
-        x = _newton(system, x0, tol.newton_residual, tol.newton_step,
-                    config.newton_max_iter, config.max_halvings)
+    for x in _newton(system, np.array(_interior_candidates(problem)),
+                     tol.newton_residual, tol.newton_step,
+                     config.newton_max_iter, config.max_halvings):
         if x is None:
             continue
         if not any(np.linalg.norm(x - seen) <= tol.dedup for seen in roots):
             roots.append(x)
+    if not roots:
+        return []
 
     reports = []
-    for x_e in roots:
-        d = _State(problem, x_e)
-        if float(np.min(d.h)) <= tol.interior:
+    for x_e, F in zip(roots, system(np.array(roots))[0]):
+        if float(np.min(certs.barrier_values(x_e))) <= tol.interior:
             continue
         try:
             sol = solve_pointwise(problem, x_e)
@@ -585,10 +624,10 @@ def find_interior_equilibria(problem, config):
             kind="interior",
             indices=(),
             lambda_e=np.zeros(0),
-            lambda0_e=p * d.gamma_val,
-            residual_field=float(np.max(np.abs(d.equilibrium_field(p, [], no_lam)))),
+            lambda0_e=p * certs.gamma_value(certs.clf_value(x_e)),
+            residual_field=float(np.max(np.abs(F))),
             residual_boundary=None,
             validated=True,
         ))
-    reports.sort(key=lambda rep: tuple(rep.x_e))
+    reports.sort(key=_report_order)
     return reports

@@ -208,8 +208,7 @@ class FeasibilityReport:
 class _State:
     """The plant and certificate quantities at one state, computed once.
 
-    This is all the equilibrium search and the Jacobians read; the QP
-    products are added on top of it by :class:`_PointData`.
+    The QP products are added on top of it by :class:`_PointData`.
     """
 
     __slots__ = ("x", "f", "g", "gT", "Hinv_gT", "G", "u_nom", "f_nom",
@@ -229,14 +228,6 @@ class _State:
         self.gradV = certs.clf_gradient(x)
         self.gamma_val = certs.gamma_value(self.V)
         self.h, self.U = certs.values_and_gradients(x)
-
-    def equilibrium_field(self, p, cols, lam):
-        """f_nom - p gamma(V) G grad V + G U[:, cols] lam: the CLF multiplier
-        eliminated at its equilibrium value p gamma(V)."""
-        field = self.f_nom - p * self.gamma_val * (self.G @ self.gradV)
-        if cols:
-            field = field + self.G @ (self.U[:, cols] @ lam)
-        return field
 
 
 class _PointData(_State):

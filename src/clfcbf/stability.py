@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
-from .qp import _PointData, _State, closed_loop_field
-from .systems import _finite_difference_jacobian
+from .certificates import _columns, _quadrics
+from .errors import DimensionMismatchError, PreconditionError
+from .qp import _PointData, closed_loop_field
+from .systems import _as_state, _finite_difference_jacobian
 
 __all__ = [
     "JacobianBundle",
@@ -94,6 +95,79 @@ def _frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
     return J
 
 
+class _EquilibriumSystem:
+    """The augmented system [f_A; h_A] of one active set A, on stacks of points.
+
+    Calling it on a (K, n + r) stack of points z = [x; lam] (r = |A|)
+    returns the (K, n + r) values [f_A(x, lam); h_A(x)] and the
+    (K, n + r, n + r) Jacobians [[J_fA, G U_A], [U_A^T, 0]], where
+
+        f_A(x, lam) = f_nom(x) - p gamma(V(x)) G grad V(x) + G U_A(x) lam,
+        J_fA = F - p (gamma'(V) G grad V grad V^T + gamma(V) G hess V)
+               + sum_k lam_k G hess h_k,
+
+    F the constant Jacobian of f_nom.  The CLF multiplier is eliminated at
+    its equilibrium value p gamma(V), which adds the rank-one gamma' term.
+    Every product is elementwise or a matmul over a leading batch axis, so
+    row k is computed by the same operations whatever K is: a stack
+    evaluates bit for bit like its rows one at a time.  The constant
+    factors are formed once, when the system is built.
+    """
+
+    def __init__(self, problem, indices):
+        certs = problem.certificates
+        cols = _columns(indices, certs.n_barriers)
+        n = problem.n
+        G = problem.gram(None)
+        self.n, self.r, self.p = n, len(cols), problem.params.p
+        self.F, self.G = problem.f_nom_jacobian(None), G
+        self.shapes = certs.shapes[cols]
+        self.centers = certs.centers[cols]
+        self.offsets = certs.offsets[cols]
+        self.G_hess = (G @ (2.0 * self.shapes)).reshape(self.r, n * n)
+        # gamma is linear: gamma(V) = gain V and gamma'(V) = gain
+        if certs.has_clf:
+            self.Q, self.c_V = certs.clf.shape, certs.clf.center[:, None]
+            self.gain = certs.gamma.gain
+        else:
+            self.Q, self.c_V, self.gain = np.zeros((n, n)), np.zeros((n, 1)), 0.0
+        self.G_hess_V = G @ (2.0 * self.Q)
+
+    def __call__(self, Z):
+        n, r, p, G = self.n, self.r, self.p, self.G
+        Z = np.ascontiguousarray(Z, dtype=float)
+        K = Z.shape[0]
+        x = Z[:, :n, None]
+        d_V = x - self.c_V
+        Q_d = self.Q @ d_V
+        gamma = self.gain * (d_V.transpose(0, 2, 1) @ Q_d)
+        grad_V = 2.0 * Q_d
+        G_grad_V = G @ grad_V
+        h, grads = _quadrics(self.shapes, self.centers, self.offsets, Z[:, :n])
+        U = np.ascontiguousarray(grads.transpose(0, 2, 1))
+        GU = G @ U
+        field = self.F @ x - (p * gamma) * G_grad_V + GU @ Z[:, n:, None]
+        J = np.zeros((K, n + r, n + r))
+        J[:, :n, :n] = self.F - p * (self.gain * (G_grad_V @ grad_V.transpose(0, 2, 1))
+                                     + gamma * self.G_hess_V)
+        if r:
+            J[:, :n, :n] += (Z[:, None, n:] @ self.G_hess).reshape(K, n, n)
+        J[:, :n, n:] = GU
+        J[:, n:, :n] = grads
+        return np.concatenate([field[..., 0], h], axis=1), J
+
+
+def _stack_of_one(problem, x, lam, indices):
+    """(system, z): the system of ``indices`` and the point [x; lam] as a
+    stack of one."""
+    system = _EquilibriumSystem(problem, indices)
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.shape[0] != system.r:
+        raise DimensionMismatchError(
+            f"{lam.shape[0]} multipliers for {system.r} active indices")
+    return system, np.concatenate([_as_state(x, problem.n), lam])[None]
+
+
 def equilibrium_field_jacobian(problem, x, lam, indices):
     """State Jacobian of the equilibrium field f_A at frozen barrier multipliers.
 
@@ -101,28 +175,8 @@ def equilibrium_field_jacobian(problem, x, lam, indices):
     state-dependent p gamma(V(x)) here, which contributes the rank-one
     term p gamma'(V) G grad V grad V^T on top of the curvature terms.
     """
-    indices = tuple(int(i) for i in indices)
-    lam = np.asarray(lam, dtype=float).ravel()
-    return _equilibrium_field_jacobian(problem, _State(problem, x), lam, indices)
-
-
-def _equilibrium_field_jacobian(problem, d, lam, indices):
-    """:func:`equilibrium_field_jacobian` at an evaluated state ``d``.
-
-    ``lam`` is a float vector and ``indices`` a tuple of ints.
-    """
-    certs = problem.certificates
-    p = problem.params.p
-    gradV = d.gradV
-    gamma_slope = certs.gamma_slope(d.V)
-    J = problem.f_nom_jacobian(d.x)
-    J = J - p * (gamma_slope * np.outer(d.G @ gradV, gradV)
-                 + d.gamma_val * (d.G @ certs.clf_hessian()))
-    for k, i in enumerate(indices):
-        if lam[k] == 0.0:
-            continue
-        J = J + lam[k] * (d.G @ certs.cbfs[i - 1].hessian())
-    return J
+    system, z = _stack_of_one(problem, x, lam, indices)
+    return system(z)[1][0, :system.n, :system.n]
 
 
 def closed_loop_jacobian(problem, x_e, lam, indices):
@@ -184,7 +238,8 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     gamma_slope = problem.certificates.gamma_slope(d.V)
     core = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
     J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
-    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
+    system, z = _stack_of_one(problem, d.x, lam, indices)
+    J_fA = system(z)[1][0, :n, :n]
 
     cond_B_V = np.nan
     g_sv = np.linalg.svd(d.G, compute_uv=False)

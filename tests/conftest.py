@@ -152,13 +152,16 @@ def dupcbf(dupcbf_scenario):
 @pytest.fixture
 def assemblies(monkeypatch):
     """Record every state evaluation, one entry per build: "state" for the
-    equilibrium layer ``qp._State``, "point" for the QP layer ``qp._PointData``.
+    per-state layer ``qp._State``, "point" for the QP layer ``qp._PointData``
+    and "batch" for each stack of points evaluated by
+    ``stability._EquilibriumSystem``.
 
-    Counting subclasses replace both classes at every binding in the package
+    Counting subclasses replace the classes at every binding in the package
     (``qp``, ``equilibria``, ``stability``), so builds made anywhere inside
     the library are seen.  A ``_PointData`` build counts once.
     """
     import clfcbf.qp as qp
+    import clfcbf.stability as stability
 
     built = []
 
@@ -176,7 +179,13 @@ def assemblies(monkeypatch):
             built.append("point")
             super().__init__(problem, x)
 
-    swaps = {qp._State: CountingState, qp._PointData: CountingPointData}
+    class CountingSystem(stability._EquilibriumSystem):
+        def __call__(self, Z):
+            built.append("batch")
+            return super().__call__(Z)
+
+    swaps = {qp._State: CountingState, qp._PointData: CountingPointData,
+             stability._EquilibriumSystem: CountingSystem}
     for modname, module in list(sys.modules.items()):
         if modname != "clfcbf" and not modname.startswith("clfcbf."):
             continue

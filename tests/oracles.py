@@ -1,18 +1,25 @@
 """Test-only reference implementations the library is checked against.
 
 ``verify_factorization`` re-derives, on its own, the congruence behind
-the stability test; ``multistart_interior_equilibria`` is the rejection-
-sampled multistart Newton search that the eigenvalue enumeration of
+the stability test; ``newton`` is the damped Newton method for one seed
+that the library's lockstep Newton replaced, and ``public_system`` its
+augmented equilibrium system built from public evaluation calls, kept to
+show that the lockstep run returns every seed's root bit for bit;
+``multistart_interior_equilibria`` is the rejection-sampled multistart
+Newton search that the eigenvalue enumeration of
 ``find_interior_equilibria`` replaced, kept to show that the enumeration
 finds every root the multistart finds.
 """
 import numpy as np
 
-from clfcbf import InfeasibleQPError, solve_pointwise
-from clfcbf.equilibria import _newton
-from clfcbf.qp import _PointData, _State
+from clfcbf import (
+    InfeasibleQPError,
+    equilibrium_field,
+    equilibrium_field_jacobian,
+    solve_pointwise,
+)
+from clfcbf.qp import _PointData
 from clfcbf.stability import (
-    _equilibrium_field_jacobian,
     _frozen_multiplier_jacobian,
     _orthogonal_complement_basis,
 )
@@ -42,7 +49,7 @@ def verify_factorization(problem, x_e, lam, indices):
     lambda0_e = p * d.gamma_val
     gamma_slope = problem.certificates.gamma_slope(d.V)
     J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
+    J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
     lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
     W = _orthogonal_complement_basis([d.G @ d.gradV])
@@ -50,6 +57,74 @@ def verify_factorization(problem, x_e, lam, indices):
     D = np.diag(np.concatenate([[1.0 / (p * d.c)], np.ones(n - 1)]))
     rhs = np.linalg.solve(B.T, D @ B.T @ J_fA)
     return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))))
+
+
+def newton(system, z0, tol_res, tol_step, max_iter, max_halvings):
+    """Damped Newton; returns the root or None.
+
+    ``system(z)`` evaluates the state once and returns ``(F(z), jacobian)``,
+    where ``jacobian()`` builds J(z) from that same evaluation.  It is
+    called only at accepted iterates, never at line-search trial points.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    Fz, jacobian = system(z)
+    if not np.all(np.isfinite(Fz)):
+        return None
+    res = float(np.max(np.abs(Fz)))
+    for _ in range(max_iter):
+        Jz = jacobian()
+        try:
+            step = np.linalg.solve(Jz, -Fz)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(Jz, -Fz, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            return None
+        scale = 1.0
+        for _ in range(max_halvings + 1):
+            z_new = z + scale * step
+            F_new, jacobian_new = system(z_new)
+            res_new = float(np.max(np.abs(F_new))) if np.all(np.isfinite(F_new)) \
+                else np.inf
+            if res_new < res or res_new <= tol_res:
+                break
+            scale *= 0.5
+        else:
+            return None
+        z, Fz, jacobian, res = z_new, F_new, jacobian_new, res_new
+        step_inf = float(np.max(np.abs(scale * step)))
+        if res <= tol_res and step_inf <= tol_step * max(1.0, float(np.max(np.abs(z)))):
+            return z
+    return None
+
+
+def public_system(problem, indices):
+    """The augmented system [f_A; h_A] of ``indices`` for :func:`newton`.
+
+    f_A and its Jacobian are the public ``equilibrium_field`` and
+    ``equilibrium_field_jacobian``; h_A and its gradients come from the
+    barriers' own ``value`` and ``gradient``.  The Jacobian is
+    [[J_fA, G U_A], [U_A^T, 0]].
+    """
+    indices = tuple(int(i) for i in indices)
+    barriers = [problem.certificates.barrier(i) for i in indices]
+    n, r = problem.n, len(indices)
+
+    def system(z):
+        x, lam = z[:n], z[n:]
+        F = np.concatenate([equilibrium_field(problem, x, lam, indices),
+                            [b.value(x) for b in barriers]])
+
+        def jacobian():
+            U_A = np.column_stack([b.gradient(x) for b in barriers]) if r \
+                else np.zeros((n, 0))
+            return np.block([
+                [equilibrium_field_jacobian(problem, x, lam, indices),
+                 problem.gram(x) @ U_A],
+                [U_A.T, np.zeros((r, r))]])
+
+        return F, jacobian
+
+    return system
 
 
 def multistart_interior_equilibria(problem, config):
@@ -61,7 +136,6 @@ def multistart_interior_equilibria(problem, config):
     library's search.  Returns the sorted list of root states.
     """
     n = problem.n
-    p = problem.params.p
     tol = problem.tolerances
     certs = problem.certificates
     rng = np.random.default_rng(config.seed)
@@ -82,17 +156,12 @@ def multistart_interior_equilibria(problem, config):
                     break
         attempts += 1
 
-    no_lam = np.zeros(0)
-
-    def system(x):
-        d = _State(problem, x)
-        return d.equilibrium_field(p, [], no_lam), \
-            lambda: _equilibrium_field_jacobian(problem, d, no_lam, ())
+    system = public_system(problem, ())
 
     roots = []
     for x0 in seeds:
-        x = _newton(system, x0, tol.newton_residual, tol.newton_step,
-                    config.newton_max_iter, config.max_halvings)
+        x = newton(system, x0, tol.newton_residual, tol.newton_step,
+                   config.newton_max_iter, config.max_halvings)
         if x is None:
             continue
         if not any(np.linalg.norm(x - seen) <= tol.dedup for seen in roots):
@@ -100,8 +169,7 @@ def multistart_interior_equilibria(problem, config):
 
     kept = []
     for x_e in roots:
-        d = _State(problem, x_e)
-        if float(np.min(d.h)) <= tol.interior:
+        if float(np.min(certs.barrier_values(x_e))) <= tol.interior:
             continue
         try:
             sol = solve_pointwise(problem, x_e)

@@ -215,6 +215,28 @@ def test_equilibria_table_and_report(tmp_path, capsys):
     assert any(max(abs(v) for v in e["x"]) < 1e-8 for e in interior)
 
 
+def test_equilibria_continuum_fails_before_any_boundary_search(
+        tmp_path, capsys, monkeypatch):
+    # Zero drift and the single input direction e_1: the field never leaves
+    # range(g), so the interior equilibria form a continuum.  The interior
+    # search runs first and ends the command; no boundary search starts.
+    import clfcbf.cli as cli
+
+    doc = _quick_doc()
+    doc["dynamics"]["input"] = {"matrix": [[1.0], [0.0]]}
+    doc["controller"]["cost_metric"] = [[1.0]]
+    boundary_searches = []
+    monkeypatch.setattr(cli, "find_boundary_equilibria",
+                        lambda *args: boundary_searches.append(args) or [])
+    out = tmp_path / "out"
+    argv = ["equilibria", "--scenario", _write(tmp_path, doc), "--out", str(out)]
+    assert main(argv) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "interior equilibria are not isolated" in err
+    assert boundary_searches == []
+    assert not (out / "equilibria_report.yaml").exists()
+
+
 # ---------------------------------------------------------------------------
 # feasibility-scan
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import clfcbf.equilibria as equilibria
+import clfcbf.stability as stability
 from clfcbf import (
     MODES,
     CertificateSet,
@@ -29,7 +30,7 @@ from clfcbf import (
     validate_equilibrium,
 )
 from clfcbf.cli import _sample_safe_states
-from oracles import multistart_interior_equilibria
+from oracles import multistart_interior_equilibria, newton, public_system
 
 DEADLOCK_SEARCH = SearchConfig(
     box=np.array([[-6.0, 6.0], [-6.0, 6.0]]), boundary_seeds=64, interior_seeds=32,
@@ -411,35 +412,26 @@ def test_finder_is_deterministic(deadlock2d):
         assert np.array_equal(ra.lambda_e, rb.lambda_e)
 
 
-# --- one state evaluation per Newton iterate --------------------------------------
+# --- lockstep Newton: one batched evaluation per iteration -------------------------
 
 
 def _watch_newton(monkeypatch, built):
-    """Wrap every Newton system: keep it, and count its evaluations, its
-    Jacobians and the state builds each of them makes."""
-    seen = {"systems": [], "system": 0, "system_builds": 0,
-            "jacobian": 0, "jacobian_builds": 0}
+    """Wrap the lockstep Newton: keep each call's system, start stack and
+    roots, and count the system's evaluations and the builds each makes."""
+    seen = {"runs": [], "system": 0, "builds": []}
     newton = equilibria._newton
 
-    def watched(system, *args):
-        seen["systems"].append(system)
-
-        def counted_system(z):
+    def watched(system, Z0, *args):
+        def counted_system(Z):
             before = len(built)
-            F, jacobian = system(z)
+            out = system(Z)
             seen["system"] += 1
-            seen["system_builds"] += len(built) - before
+            seen["builds"].append(tuple(built[before:]))
+            return out
 
-            def counted_jacobian():
-                before = len(built)
-                J = jacobian()
-                seen["jacobian"] += 1
-                seen["jacobian_builds"] += len(built) - before
-                return J
-
-            return F, counted_jacobian
-
-        return newton(counted_system, *args)
+        roots = newton(counted_system, Z0, *args)
+        seen["runs"].append((system, np.array(Z0), args, roots))
+        return roots
 
     monkeypatch.setattr(equilibria, "_newton", watched)
     return seen
@@ -455,11 +447,12 @@ def test_newton_jacobians_reuse_the_iterate_evaluation(
     else:
         reports = find_interior_equilibria(fig1, config)
     assert reports
-    assert seen["jacobian"] > 0
-    assert seen["system_builds"] == seen["system"]
-    assert seen["jacobian_builds"] == 0
-    # the search reads only the state layer; the QP layer is built once per
-    # root, by the solve that validates it
+    assert seen["system"] > 1
+    # one batched build per lockstep evaluation, its Jacobians included
+    assert seen["builds"] == [("batch",)] * seen["system"]
+    # the search never builds the per-state layer; the QP layer is built
+    # once per root, by the solve that validates it
+    assert "state" not in assemblies
     assert assemblies.count("point") == len(reports)
 
 
@@ -467,8 +460,8 @@ def test_newton_jacobians_reuse_the_iterate_evaluation(
     ("deadlock2d", (1,)), ("fig1", (1,)), ("fig1", (1, 2)), ("fig1", ())])
 def test_newton_system_is_the_public_field_and_jacobian(
         name, indices, request, monkeypatch):
-    # Bit for bit: the search evaluates the same arithmetic as the public
-    # equilibrium_field / equilibrium_field_jacobian at arbitrary states.
+    # Bit for bit, row by row: the search evaluates the same arithmetic as
+    # the public equilibrium_field / equilibrium_field_jacobian.
     problem = request.getfixturevalue(name)
     box = np.array([[-4.0, 4.0]] * problem.n)
     config = SearchConfig(box=box, boundary_seeds=8, interior_seeds=1, seed=0)
@@ -477,18 +470,94 @@ def test_newton_system_is_the_public_field_and_jacobian(
         find_boundary_equilibria(problem, indices, config)
     else:
         find_interior_equilibria(problem, config)
-    assert seen["systems"]
-    system = seen["systems"][0]
+    system = seen["runs"][0][0]
     n = problem.n
     rng = np.random.default_rng(17)
-    for _ in range(6):
-        x = rng.uniform(-4.0, 4.0, n)
-        lam = rng.uniform(0.0, 5.0, len(indices))
-        F, jacobian = system(np.concatenate([x, lam]) if indices else x)
-        J = jacobian()
-        assert np.array_equal(F[:n], equilibrium_field(problem, x, lam, indices))
+    X = rng.uniform(-4.0, 4.0, (6, n))
+    L = rng.uniform(0.0, 5.0, (6, len(indices)))
+    F, J = system(np.hstack([X, L]))
+    for x, lam, F_row, J_row in zip(X, L, F, J):
+        assert np.array_equal(F_row[:n], equilibrium_field(problem, x, lam, indices))
         assert np.array_equal(
-            J[:n, :n], equilibrium_field_jacobian(problem, x, lam, indices))
+            J_row[:n, :n], equilibrium_field_jacobian(problem, x, lam, indices))
+
+
+def random_boundary_problem(rng, n, mode, drift):
+    """A random_interior_problem whose second obstacle is moved to within
+    1.2-1.8 of the first, so that the two boundaries usually meet."""
+    problem = random_interior_problem(rng, n, mode, drift, centred=False)
+    certs = problem.certificates
+    first, second = certs.cbfs
+    direction = rng.normal(size=n)
+    direction /= np.linalg.norm(direction)
+    moved = QuadraticCertificate.barrier(
+        second.shape, first.center + rng.uniform(1.2, 1.8) * direction, -1.0)
+    return replace(problem, certificates=replace(certs, cbfs=(first, moved)))
+
+
+def test_lockstep_newton_matches_the_reference_seed_by_seed(monkeypatch):
+    # Every seed of every search, run alone through the reference Newton on
+    # the public field, Jacobian and barriers, gives the lockstep root bit
+    # for bit, or the same failure.
+    seen = _watch_newton(monkeypatch, [])
+    rng = np.random.default_rng(88)
+    searches = []
+    for n, mode, drift in itertools.product((2, 3, 4), MODES, (False, True)):
+        problem = random_boundary_problem(rng, n, mode, drift)
+        config = SearchConfig(box=[[-4.0, 4.0]] * n, boundary_seeds=16, seed=n)
+        for indices in ((1,), (1, 2), ()):
+            runs = len(seen["runs"])
+            if indices:
+                find_boundary_equilibria(problem, indices, config)
+            else:
+                find_interior_equilibria(problem, config)
+            searches += [(problem, indices, run) for run in seen["runs"][runs:]]
+    outcomes = {(r, ok): 0 for r in (0, 1, 2) for ok in (True, False)}
+    for problem, indices, (_, Z0, args, roots) in searches:
+        tol = problem.tolerances
+        assert args == (tol.newton_residual, tol.newton_step, 100, 8)
+        system = public_system(problem, indices)
+        for z0, root in zip(Z0, roots):
+            expected = newton(system, z0, *args)
+            if expected is None:
+                assert root is None
+            else:
+                assert np.array_equal(root, expected)
+            outcomes[len(indices), expected is not None] += 1
+    # roots and failures both occur, for every active-set size
+    assert all(count >= 3 for count in outcomes.values()), sorted(outcomes.items())
+
+
+@pytest.mark.parametrize("name, indices", [("fig1", (1, 2)), ("deadlock2d", (1,)),
+                                           ("filter2d", ())])
+def test_batch_rows_equal_batches_of_one(name, indices, request):
+    problem = request.getfixturevalue(name)
+    system = stability._EquilibriumSystem(problem, indices)
+    rng = np.random.default_rng(5)
+    Z = rng.uniform(-4.0, 4.0, (64, problem.n + len(indices)))
+    for K in (1, 7, 64):
+        F, J = system(Z[:K])
+        for k in range(K):
+            F1, J1 = system(Z[k:k + 1])
+            assert np.array_equal(F[k], F1[0]) and np.array_equal(J[k], J1[0])
+
+
+def test_report_order_ignores_signed_zero_noise():
+    # Roots whose zero coordinate differs only by rounding sort on their
+    # other coordinates, and keep seed order when nothing else differs.
+    def rep(x):
+        return EquilibriumReport(
+            x_e=np.array(x), kind="boundary", indices=(1, 2), lambda_e=np.ones(2),
+            lambda0_e=1.0, residual_field=0.0, residual_boundary=0.0)
+
+    def order(reports):
+        return [id(r) for r in sorted(reports, key=equilibria._report_order)]
+
+    upper, lower = rep([1e-17, 0.45, 3.0]), rep([-1e-17, -0.45, 3.0])
+    assert order([upper, lower]) == order([lower, upper]) == [id(lower), id(upper)]
+    plus, minus = rep([1e-17, 0.45, 3.0]), rep([-1e-17, 0.45, 3.0])
+    assert order([plus, minus]) == [id(plus), id(minus)]
+    assert order([minus, plus]) == [id(minus), id(plus)]
 
 
 # --- statistical invariant -------------------------------------------------------

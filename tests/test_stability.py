@@ -34,7 +34,6 @@ from clfcbf import (
 )
 from clfcbf.qp import _dual, _PointData, _State
 from clfcbf.stability import (
-    _equilibrium_field_jacobian,
     _frozen_multiplier_jacobian,
     _orthogonal_complement_basis,
 )
@@ -81,7 +80,7 @@ def remark_difference_diagnostic(problem, x_e, lam, indices):
     lambda0_e = p * d.gamma_val
     gamma_slope = problem.certificates.gamma_slope(d.V)
     J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    J_fA = _equilibrium_field_jacobian(problem, d, lam, indices)
+    J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     difference = J_A - J_fA
     with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
     without_weight = p * gamma_slope * np.outer(d.gradV, d.gradV)
@@ -154,10 +153,10 @@ def test_deadlock_classification_and_cross_check(deadlock2d):
     ("fig1", np.array([0.0, 1.0, 3.0]), [1.0, 1.0], [1, 2]),
 ])
 def test_classify_evaluates_the_state_once(name, x, lam, indices, request, assemblies):
-    # closed_loop_jacobian's evaluation also feeds the equilibrium-field
-    # Jacobian, so one classify is one build.
+    # One QP-layer build feeds closed_loop_jacobian; the equilibrium-field
+    # Jacobian is the batched evaluator's stack of one.
     classify(request.getfixturevalue(name), x, lam, indices)
-    assert len(assemblies) == 1
+    assert assemblies == ["point", "batch"]
 
 
 def test_left_eigenvector_of_closed_loop(deadlock2d):

@@ -8,7 +8,11 @@ offset -1, i.e. ellipsoidal obstacles where ``h < 0`` inside.
 
 CBFs are numbered 1..N throughout the package: active sets are subsets of
 {0, 1, .., N} with 0 denoting the CLF row, matching the trajectory-log
-bitmask (bit 0 = CLF row, bit i = CBF i).
+bitmask (bit 0 = CLF row, bit i = CBF i).  :class:`CertificateSet` stacks
+the certificates in the same numbering, as a table of N+1 quadrics whose
+row 0 is the CLF (the zero quadric in safety-filter mode), and
+:func:`_quadrics` evaluates rows of it at a stack of states: V, grad V, h
+and U all come from that one evaluator.
 """
 
 from dataclasses import dataclass
@@ -106,11 +110,6 @@ def _check_indices(indices, n_barriers):
     return idx
 
 
-def _columns(indices, n_barriers):
-    """0-based positions of validated 1-based CBF indices."""
-    return [i - 1 for i in _check_indices(indices, n_barriers)]
-
-
 def _quadrics(shapes, centers, offsets, X):
     """Values (K, r) and gradients (K, r, n) of r stacked quadrics at K states.
 
@@ -129,16 +128,18 @@ class CertificateSet:
     """A CLF (optional, absent exactly in safety-filter mode) plus N >= 1 CBFs.
 
     ``gamma`` is the CLF's class-K margin, ``alphas[i]`` the margin of CBF
-    i+1.  When the CLF is absent, V, its gradient and Hessian evaluate to
-    zero and gamma evaluates to the zero function — exactly the
-    safety-filter substitution V = 0.
+    i+1.
 
-    The barriers are also held as read-only stacked arrays, built once:
-    ``shapes`` (N, n, n), ``centers`` (N, n), ``offsets`` (N,) and the
-    class-K gains ``alpha_gains`` (N,).  Barrier values, gradients and
-    margins at a state come from one pair of einsums over them, and the
-    margins are ``alpha_gains * h`` because every class-K function here is
-    linear.
+    The certificates are also held, built once, as one read-only table of
+    N+1 quadrics indexed by QP row: ``row_shapes`` (N+1, n, n),
+    ``row_centers`` (N+1, n), ``row_offsets`` (N+1,) and the class-K gains
+    ``row_gains`` (N+1,).  Row 0 is the CLF with gain gamma; without a CLF
+    it is the all-zero quadric with gain 0, which is exactly the
+    safety-filter substitution V = 0.  Row i is CBF i with the gain of
+    alpha_i, and ``shapes``, ``centers``, ``offsets`` and ``alpha_gains``
+    are views of rows 1..N.  Every class-K function here is linear, so the
+    margins gamma(V) and alpha_i(h_i) at a state are ``row_gains`` times
+    the row values there.
     """
 
     cbfs: Tuple[QuadraticCertificate, ...]
@@ -165,22 +166,25 @@ class CertificateSet:
                 raise DimensionMismatchError("CBFs live in different dimensions")
         if (self.clf is None) != (self.gamma is None):
             raise InvalidParameterError("clf and gamma must be present together")
-        if self.clf is not None:
+        if self.clf is None:
+            row0 = (np.zeros((n, n)), np.zeros(n), 0.0, 0.0)
+        else:
             if self.clf.kind != "clf":
                 raise InvalidParameterError("clf must have kind 'clf'")
             if self.clf.n != n:
                 raise DimensionMismatchError("CLF dimension differs from CBFs")
+            row0 = (self.clf.shape, self.clf.center, 0.0, self.gamma.gain)
         object.__setattr__(self, "cbfs", cbfs)
         object.__setattr__(self, "alphas", alphas)
-        stacked = {
-            "shapes": np.array([b.shape for b in cbfs]),
-            "centers": np.array([b.center for b in cbfs]),
-            "offsets": np.array([b.offset for b in cbfs]),
-            "alpha_gains": np.array([a.gain for a in alphas]),
-        }
-        for name, arr in stacked.items():
+        rows = [row0] + [(b.shape, b.center, b.offset, a.gain)
+                         for b, a in zip(cbfs, alphas)]
+        names = (("row_shapes", "shapes"), ("row_centers", "centers"),
+                 ("row_offsets", "offsets"), ("row_gains", "alpha_gains"))
+        for k, (table, view) in enumerate(names):
+            arr = np.array([row[k] for row in rows])
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, table, arr)
+            object.__setattr__(self, view, arr[1:])
 
     @property
     def n(self):
@@ -194,42 +198,25 @@ class CertificateSet:
     def has_clf(self):
         return self.clf is not None
 
-    # -- CLF side (zero substitution when absent) ---------------------------
-
-    def clf_value(self, x):
-        return self.clf.value(x) if self.clf is not None else 0.0
-
-    def clf_gradient(self, x):
-        if self.clf is not None:
-            return self.clf.gradient(x)
-        return np.zeros(self.n)
-
-    def clf_hessian(self):
-        if self.clf is not None:
-            return self.clf.hessian()
-        return np.zeros((self.n, self.n))
-
-    def gamma_value(self, s):
-        return self.gamma.value(s) if self.gamma is not None else 0.0
-
-    def gamma_slope(self, s):
-        return self.gamma.slope(s) if self.gamma is not None else 0.0
-
-    # -- CBF side ------------------------------------------------------------
-
     def barrier(self, i):
         """CBF number i (1-based)."""
         (i,) = _check_indices((i,), self.n_barriers)
         return self.cbfs[i - 1]
 
-    def values_and_gradients(self, x):
-        """(h, U): all N barrier values and the (n, N) gradient columns at x."""
-        d = np.asarray(x, dtype=float).ravel() - self.centers
-        Sd = np.einsum("kij,kj->ki", self.shapes, d)
-        return np.einsum("ki,ki->k", d, Sd) + self.offsets, 2.0 * Sd.T
+    def _rows_at(self, x):
+        """Values (N+1,) and gradients (N+1, n) of every table row at x."""
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        values, grads = _quadrics(self.row_shapes, self.row_centers,
+                                  self.row_offsets, X)
+        return values[0], grads[0]
+
+    def values(self, x):
+        """Every table row at x: V(x) (0 without a CLF), then h_1(x) .. h_N(x)."""
+        return self._rows_at(x)[0]
 
     def barrier_values(self, x):
-        return self.values_and_gradients(x)[0]
+        """All N barrier values h_1(x) .. h_N(x)."""
+        return self.values(x)[1:]
 
     def stacked_gradients(self, x, indices=None):
         """Gradient columns [grad h_{a_1} .. grad h_{a_r}] as an (n, r) matrix.
@@ -237,20 +224,6 @@ class CertificateSet:
         ``indices`` is an ordered sequence of 1-based CBF indices; all N in
         natural order when omitted.  Column order follows ``indices``.
         """
-        U = self.values_and_gradients(x)[1]
-        if indices is None:
-            return U
-        return U[:, _columns(indices, self.n_barriers)]
-
-    def alpha_vector(self, x, indices=None):
-        """Stacked margins (alpha_{a_i}(h_{a_i}(x)))_i for the given indices."""
-        alpha = self.alpha_gains * self.barrier_values(x)
-        if indices is None:
-            return alpha
-        return alpha[_columns(indices, self.n_barriers)]
-
-    def alpha_slopes(self, x, indices=None):
-        """Stacked derivatives alpha'_{a_i}(h_{a_i}(x)); all positive."""
-        if indices is None:
-            return self.alpha_gains.copy()
-        return self.alpha_gains[_columns(indices, self.n_barriers)]
+        rows = slice(1, None) if indices is None else list(
+            _check_indices(indices, self.n_barriers))
+        return self._rows_at(x)[1][rows].T

@@ -103,7 +103,10 @@ def _sample_safe_states(problem, box, count, seed):
 
 
 def _fmt_vec(x, precision=10):
-    return "(" + ", ".join(f"{v: .{precision}f}" for v in np.asarray(x)) + ")"
+    """Fixed-point coordinates, rounded first and -0.0 folded into +0.0, so
+    the sign of rounding noise never shows."""
+    rounded = np.round(np.asarray(x, dtype=float), precision) + 0.0
+    return "(" + ", ".join(f"{v: .{precision}f}" for v in rounded) + ")"
 
 
 def _ensure_outdir(path):

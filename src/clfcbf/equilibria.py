@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionError,
 )
-from .certificates import _quadrics
+from .certificates import _check_indices, _quadrics
 from .qp import CLF_ROW, closed_loop_field, solve_pointwise
 from .stability import _EquilibriumSystem, _stack_of_one
 
@@ -283,6 +283,12 @@ def _nnls(A, b):
     return np.array(x)
 
 
+def _clf_multiplier(problem, x):
+    """The CLF multiplier p gamma(V(x)) of an equilibrium at x."""
+    certs = problem.certificates
+    return problem.params.p * float(certs.row_gains[0] * certs.values(x)[0])
+
+
 def _report_order(report):
     """Sort key: x_e rounded to 9 decimals, -0.0 folded into +0.0, so roots
     that differ only by rounding keep their seed order."""
@@ -315,15 +321,12 @@ def find_boundary_equilibria(problem, indices, config):
         below -1e-6 are discarded; an empty list means the seeded
         intersection was empty or Newton found nothing.
     """
-    indices = tuple(int(i) for i in indices)
     certs = problem.certificates
-    # validates the index range as a side effect
-    certs.stacked_gradients(np.zeros(problem.n), indices)
+    indices = _check_indices(indices, certs.n_barriers)
     if not indices:
         raise InvalidParameterError("boundary search needs at least one index")
     r = len(indices)
     n = problem.n
-    p = problem.params.p
     tol = problem.tolerances
     rng = np.random.default_rng(config.seed)
 
@@ -358,7 +361,7 @@ def find_boundary_equilibria(problem, indices, config):
             kind="boundary",
             indices=indices,
             lambda_e=lam,
-            lambda0_e=p * certs.gamma_value(certs.clf_value(x_e)),
+            lambda0_e=_clf_multiplier(problem, x_e),
             residual_field=float(np.max(np.abs(F[:n]))),
             residual_boundary=float(np.max(np.abs(F[n:]))),
             degenerate=bool(np.any(np.abs(lam) <= tol.validate)),
@@ -591,7 +594,6 @@ def find_interior_equilibria(problem, config):
         has a null space of dimension >= 2 at an eigenvalue tau whose
         solutions form a continuum.
     """
-    p = problem.params.p
     tol = problem.tolerances
     certs = problem.certificates
     system = _EquilibriumSystem(problem, ())
@@ -624,7 +626,7 @@ def find_interior_equilibria(problem, config):
             kind="interior",
             indices=(),
             lambda_e=np.zeros(0),
-            lambda0_e=p * certs.gamma_value(certs.clf_value(x_e)),
+            lambda0_e=_clf_multiplier(problem, x_e),
             residual_field=float(np.max(np.abs(F))),
             residual_boundary=None,
             validated=True,

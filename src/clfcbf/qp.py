@@ -39,7 +39,7 @@ from typing import FrozenSet
 
 import numpy as np
 
-from .certificates import CertificateSet
+from .certificates import CertificateSet, _quadrics
 from .errors import (
     DimensionMismatchError,
     InfeasibleQPError,
@@ -133,18 +133,15 @@ class ControlProblem:
 
     @cached_property
     def _input_maps(self):
+        """(g, g^T, H^{-1} g^T, G); the input map is constant."""
         g = self.model.input_matrix
         Hinv_gT = np.linalg.solve(self.params.cost_metric, g.T)
         G = g @ Hinv_gT
         return g, g.T, Hinv_gT, 0.5 * (G + G.T)
 
-    def input_maps(self, x):
-        """(g, g^T, H^{-1} g^T, G) at x; the input map is constant."""
-        return self._input_maps
-
     def gram(self, x):
         """Symmetrized g H^{-1} g^T at x."""
-        return self.input_maps(x)[3]
+        return self._input_maps[3]
 
     def f_nom(self, x):
         """Nominal closed-loop field f(x) + g u_nom(x)."""
@@ -205,14 +202,18 @@ class FeasibilityReport:
     rank: int
 
 
-class _State:
-    """The plant and certificate quantities at one state, computed once.
+class _PointData:
+    """Everything the pointwise QP needs at one state, computed once.
 
-    The QP products are added on top of it by :class:`_PointData`.
+    V, grad V, h and U come from one evaluation of all N+1 rows of the
+    certificate table (row 0 the CLF, zero in safety-filter mode), and the
+    margins gamma(V) and alpha_i(h_i) are the table gains times those rows.
     """
 
     __slots__ = ("x", "f", "g", "gT", "Hinv_gT", "G", "u_nom", "f_nom",
-                 "V", "gradV", "gamma_val", "h", "U")
+                 "gradV", "gamma_val", "h", "U", "H", "alpha", "c",
+                 "gT_gradV", "gT_U", "Hg_gradV", "Hg_U", "M_full", "v_full",
+                 "F_V", "F_h")
 
     def __init__(self, problem, x):
         certs = problem.certificates
@@ -221,25 +222,16 @@ class _State:
             raise DimensionMismatchError(
                 f"x has shape {x.shape}, expected ({problem.n},)")
         self.f = _eval_drift(problem.model, x)
-        self.g, self.gT, self.Hinv_gT, self.G = problem.input_maps(x)
+        self.g, self.gT, self.Hinv_gT, self.G = problem._input_maps
         self.u_nom = problem.u_nom(x)
         self.f_nom = self.f + self.g @ self.u_nom
-        self.V = certs.clf_value(x)
-        self.gradV = certs.clf_gradient(x)
-        self.gamma_val = certs.gamma_value(self.V)
-        self.h, self.U = certs.values_and_gradients(x)
-
-
-class _PointData(_State):
-    """Everything the pointwise QP needs at one state, computed once."""
-
-    __slots__ = ("H", "alpha", "c", "gT_gradV", "gT_U", "Hg_gradV", "Hg_U",
-                 "M_full", "v_full", "F_V", "F_h")
-
-    def __init__(self, problem, x):
-        super().__init__(problem, x)
+        values, grads = _quadrics(certs.row_shapes, certs.row_centers,
+                                  certs.row_offsets, x[None])
+        margins = certs.row_gains * values[0]
+        self.gamma_val = float(margins[0])
+        self.h, self.alpha = values[0, 1:], margins[1:]
+        self.gradV, self.U = grads[0, 0], grads[0, 1:].T
         self.H = problem.params.cost_metric
-        self.alpha = problem.certificates.alpha_gains * self.h
         G_gradV = self.G @ self.gradV
         self.c = 1.0 / problem.params.p + float(self.gradV @ G_gradV)
         self.gT_gradV = self.gT @ self.gradV

@@ -156,7 +156,8 @@ def integrate(problem, x0, dt=1e-3, t_final=20.0, target=None, target_tol=1e-3):
             solution = solve_pointwise(problem, x, first_guess=guess)
         except InfeasibleQPError:
             return recorder.build(Termination(reason="qp_infeasible", time=t))
-        recorder.add(t, x, certs.barrier_values(x), certs.clf_value(x), solution)
+        values = certs.values(x)
+        recorder.add(t, x, values[1:], values[0], solution)
         if target is not None:
             in_tol = in_tol + 1 if np.linalg.norm(x - target) <= target_tol else 0
             if in_tol >= CONVERGENCE_WINDOW:

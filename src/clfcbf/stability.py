@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import _columns, _quadrics
+from .certificates import _check_indices, _quadrics
 from .errors import DimensionMismatchError, PreconditionError
 from .qp import _PointData, closed_loop_field
 from .systems import _as_state, _finite_difference_jacobian
@@ -76,25 +76,6 @@ class SpectrumCheck:
     eigenvalues: np.ndarray
 
 
-def _frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
-    """State Jacobian of f_nom + G(-lambda0 grad V + U_A lam), multipliers frozen.
-
-    This is the Jacobian that enters the closed-loop factorization; the
-    multipliers are treated as constants evaluated at the equilibrium.
-    ``lam`` is a float vector and ``indices`` a tuple of ints.
-    """
-    certs = problem.certificates
-    G = problem.gram(x)
-    J = problem.f_nom_jacobian(x)
-    if lambda0 != 0.0:
-        J = J - lambda0 * (G @ certs.clf_hessian())
-    for k, i in enumerate(indices):
-        if lam[k] == 0.0:
-            continue
-        J = J + lam[k] * (G @ certs.cbfs[i - 1].hessian())
-    return J
-
-
 class _EquilibriumSystem:
     """The augmented system [f_A; h_A] of one active set A, on stacks of points.
 
@@ -103,58 +84,54 @@ class _EquilibriumSystem:
     (K, n + r, n + r) Jacobians [[J_fA, G U_A], [U_A^T, 0]], where
 
         f_A(x, lam) = f_nom(x) - p gamma(V(x)) G grad V(x) + G U_A(x) lam,
-        J_fA = F - p (gamma'(V) G grad V grad V^T + gamma(V) G hess V)
-               + sum_k lam_k G hess h_k,
+        J_fA = F - p gamma'(V) G grad V grad V^T
+               + sum_k mu_k G hess q_k,   mu = (-p gamma(V), lam),
 
-    F the constant Jacobian of f_nom.  The CLF multiplier is eliminated at
-    its equilibrium value p gamma(V), which adds the rank-one gamma' term.
-    Every product is elementwise or a matmul over a leading batch axis, so
-    row k is computed by the same operations whatever K is: a stack
-    evaluates bit for bit like its rows one at a time.  The constant
-    factors are formed once, when the system is built.
+    F the constant Jacobian of f_nom and q_0 = V, q_k = h_{a_k} the
+    certificate-table rows (0,) + A.  The CLF multiplier is eliminated at
+    its equilibrium value p gamma(V), which adds the rank-one gamma' term;
+    without a CLF row 0 is the zero quadric with gain 0.  Every product is
+    elementwise or a matmul over a leading batch axis, so row k is computed
+    by the same operations whatever K is: a stack evaluates bit for bit
+    like its rows one at a time.  The constant factors are formed once,
+    when the system is built.
     """
 
     def __init__(self, problem, indices):
         certs = problem.certificates
-        cols = _columns(indices, certs.n_barriers)
+        rows = [0, *_check_indices(indices, certs.n_barriers)]
         n = problem.n
         G = problem.gram(None)
-        self.n, self.r, self.p = n, len(cols), problem.params.p
+        self.n, self.r, self.p = n, len(rows) - 1, problem.params.p
         self.F, self.G = problem.f_nom_jacobian(None), G
-        self.shapes = certs.shapes[cols]
-        self.centers = certs.centers[cols]
-        self.offsets = certs.offsets[cols]
-        self.G_hess = (G @ (2.0 * self.shapes)).reshape(self.r, n * n)
+        self.shapes = certs.row_shapes[rows]
+        self.centers = certs.row_centers[rows]
+        self.offsets = certs.row_offsets[rows]
         # gamma is linear: gamma(V) = gain V and gamma'(V) = gain
-        if certs.has_clf:
-            self.Q, self.c_V = certs.clf.shape, certs.clf.center[:, None]
-            self.gain = certs.gamma.gain
-        else:
-            self.Q, self.c_V, self.gain = np.zeros((n, n)), np.zeros((n, 1)), 0.0
-        self.G_hess_V = G @ (2.0 * self.Q)
+        self.gain = certs.row_gains[0]
+        self.G_hess = (G @ (2.0 * self.shapes)).reshape(self.r + 1, n * n)
+
+    def curvature(self, mu):
+        """sum_k mu_k G hess q_k for a (K, 1 + r) stack of row multipliers."""
+        return (mu[:, None, :] @ self.G_hess).reshape(mu.shape[0], self.n, self.n)
 
     def __call__(self, Z):
         n, r, p, G = self.n, self.r, self.p, self.G
         Z = np.ascontiguousarray(Z, dtype=float)
         K = Z.shape[0]
-        x = Z[:, :n, None]
-        d_V = x - self.c_V
-        Q_d = self.Q @ d_V
-        gamma = self.gain * (d_V.transpose(0, 2, 1) @ Q_d)
-        grad_V = 2.0 * Q_d
+        values, grads = _quadrics(self.shapes, self.centers, self.offsets, Z[:, :n])
+        gamma = self.gain * values[:, :1]
+        grad_V = grads[:, 0, :, None]
         G_grad_V = G @ grad_V
-        h, grads = _quadrics(self.shapes, self.centers, self.offsets, Z[:, :n])
-        U = np.ascontiguousarray(grads.transpose(0, 2, 1))
-        GU = G @ U
-        field = self.F @ x - (p * gamma) * G_grad_V + GU @ Z[:, n:, None]
+        GU = G @ grads[:, 1:].transpose(0, 2, 1)
+        field = self.F @ Z[:, :n, None] - (p * gamma)[..., None] * G_grad_V \
+            + GU @ Z[:, n:, None]
         J = np.zeros((K, n + r, n + r))
-        J[:, :n, :n] = self.F - p * (self.gain * (G_grad_V @ grad_V.transpose(0, 2, 1))
-                                     + gamma * self.G_hess_V)
-        if r:
-            J[:, :n, :n] += (Z[:, None, n:] @ self.G_hess).reshape(K, n, n)
+        J[:, :n, :n] = (self.F - (p * self.gain) * (G_grad_V @ grad_V.transpose(0, 2, 1))
+                        + self.curvature(np.hstack([-p * gamma, Z[:, n:]])))
         J[:, :n, n:] = GU
-        J[:, n:, :n] = grads
-        return np.concatenate([field[..., 0], h], axis=1), J
+        J[:, n:, :n] = grads[:, 1:]
+        return np.concatenate([field[..., 0], values[:, 1:]], axis=1), J
 
 
 def _stack_of_one(problem, x, lam, indices):
@@ -202,7 +179,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
         If the active gradients are dependent, the input map has no
         authority on them, or the Schur complement is ill-conditioned.
     """
-    indices = tuple(int(i) for i in indices)
+    indices = _check_indices(indices, problem.n_barriers)
     lam = np.asarray(lam, dtype=float).ravel()
     d = _PointData(problem, x_e)
     tol = problem.tolerances
@@ -230,16 +207,18 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
         raise PreconditionError(
             f"Schur complement is numerically singular (condition {cond_S:.3e})")
     S_inv = np.linalg.inv(S_A)
-    lam_prime = problem.certificates.alpha_slopes(x_e, indices)
+    # the class-K functions are linear: their slopes are the table gains
+    gains = problem.certificates.row_gains
+    lam_prime = gains[list(indices)]
 
     PVG_UA = PVG @ U_A
     P_UA = np.eye(n) - PVG_UA @ S_inv @ U_A.T
-    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
-    gamma_slope = problem.certificates.gamma_slope(d.V)
-    core = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
-    J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
     system, z = _stack_of_one(problem, d.x, lam, indices)
     J_fA = system(z)[1][0, :n, :n]
+    # multipliers frozen at (lambda0_e, lam): d/dx of f_nom + G(-lambda0 grad V + U_A lam)
+    J_A = system.F + system.curvature(np.concatenate(([-lambda0_e], lam))[None])[0]
+    core = P_V @ J_A - (gains[0] / d.c) * np.outer(d.G @ d.gradV, d.gradV)
+    J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
 
     cond_B_V = np.nan
     g_sv = np.linalg.svd(d.G, compute_uv=False)
@@ -254,45 +233,34 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
         lambda_prime=lam_prime, cond_S_A=cond_S, cond_B_V=cond_B_V)
 
 
-def _orthogonal_complement_basis(vectors, metric=None):
-    """Orthonormal basis of the complement of span(vectors) in a given metric.
+def _orthogonal_complement_basis(vectors):
+    """Orthonormal basis of the complement of span(vectors).
 
     Parameters
     ----------
     vectors : sequence of (n,) arrays or (n, r) ndarray
         Spanning vectors (columns).  Must be linearly independent.
-    metric : (n, n) ndarray, optional
-        Symmetric positive-definite inner product; identity when omitted.
 
     Returns
     -------
     (n, n - r) ndarray
-        Columns w satisfy w^T metric v = 0 for every input vector and are
-        metric-orthonormal.  Deterministic: built by ordered elimination
-        of the canonical basis against the inputs.
+        Orthonormal columns w with w^T v = 0 for every input vector.
+        Deterministic: built by ordered elimination of the canonical basis
+        against the inputs.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         V = np.asarray(vectors, dtype=float)
     else:
         V = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
     n, r = V.shape
-    X = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
-    if X.shape != (n, n):
-        raise PreconditionError(f"metric has shape {X.shape}, expected ({n}, {n})")
-    if not np.allclose(X, X.T, rtol=0.0, atol=1e-10):
-        raise PreconditionError("metric must be symmetric")
-
-    def inner(a, b):
-        return float(a @ X @ b)
-
     basis = []
     for col in V.T:
         w = col.astype(float)
         for b in basis:
-            w = w - inner(b, w) * b
-        norm2 = inner(w, w)
+            w = w - float(b @ w) * b
+        norm2 = float(w @ w)
         if norm2 <= 1e-20:
-            raise PreconditionError("input vectors are dependent in the given metric")
+            raise PreconditionError("input vectors are dependent")
         basis.append(w / np.sqrt(norm2))
     complement = []
     for k in range(n):
@@ -301,8 +269,8 @@ def _orthogonal_complement_basis(vectors, metric=None):
         w = np.zeros(n)
         w[k] = 1.0
         for b in basis + complement:
-            w = w - inner(b, w) * b
-        norm2 = inner(w, w)
+            w = w - float(b @ w) * b
+        norm2 = float(w @ w)
         if norm2 > 1e-20:
             complement.append(w / np.sqrt(norm2))
     if len(complement) != n - r:

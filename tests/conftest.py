@@ -151,26 +151,18 @@ def dupcbf(dupcbf_scenario):
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Record every state evaluation, one entry per build: "state" for the
-    per-state layer ``qp._State``, "point" for the QP layer ``qp._PointData``
-    and "batch" for each stack of points evaluated by
-    ``stability._EquilibriumSystem``.
+    """Record every state evaluation, one entry per build: "point" for the
+    QP layer ``qp._PointData`` and "batch" for each stack of points
+    evaluated by ``stability._EquilibriumSystem``.
 
     Counting subclasses replace the classes at every binding in the package
     (``qp``, ``equilibria``, ``stability``), so builds made anywhere inside
-    the library are seen.  A ``_PointData`` build counts once.
+    the library are seen.
     """
     import clfcbf.qp as qp
     import clfcbf.stability as stability
 
     built = []
-
-    class CountingState(qp._State):
-        __slots__ = ()
-
-        def __init__(self, problem, x):
-            built.append("state")
-            super().__init__(problem, x)
 
     class CountingPointData(qp._PointData):
         __slots__ = ()
@@ -184,7 +176,7 @@ def assemblies(monkeypatch):
             built.append("batch")
             return super().__call__(Z)
 
-    swaps = {qp._State: CountingState, qp._PointData: CountingPointData,
+    swaps = {qp._PointData: CountingPointData,
              stability._EquilibriumSystem: CountingSystem}
     for modname, module in list(sys.modules.items()):
         if modname != "clfcbf" and not modname.startswith("clfcbf."):

@@ -1,7 +1,9 @@
 """Test-only reference implementations the library is checked against.
 
-``verify_factorization`` re-derives, on its own, the congruence behind
-the stability test; ``newton`` is the damped Newton method for one seed
+``frozen_multiplier_jacobian`` is the multiplier-frozen Jacobian summed
+certificate by certificate from each Hessian, the reference for the
+stacked ``JacobianBundle.J_A``; ``verify_factorization`` re-derives, on
+its own, the congruence behind the stability test; ``newton`` is the damped Newton method for one seed
 that the library's lockstep Newton replaced, and ``public_system`` its
 augmented equilibrium system built from public evaluation calls, kept to
 show that the lockstep run returns every seed's root bit for bit;
@@ -19,10 +21,25 @@ from clfcbf import (
     solve_pointwise,
 )
 from clfcbf.qp import _PointData
-from clfcbf.stability import (
-    _frozen_multiplier_jacobian,
-    _orthogonal_complement_basis,
-)
+from clfcbf.stability import _orthogonal_complement_basis
+
+
+def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
+    """State Jacobian of f_nom + G(-lambda0 grad V + U_A lam), multipliers frozen.
+
+    Sums the curvature one certificate at a time from its own Hessian.
+    ``lam`` is a float vector and ``indices`` a tuple of ints.
+    """
+    certs = problem.certificates
+    G = problem.gram(x)
+    J = problem.f_nom_jacobian(x)
+    if lambda0 != 0.0:
+        J = J - lambda0 * (G @ certs.clf.hessian())
+    for k, i in enumerate(indices):
+        if lam[k] == 0.0:
+            continue
+        J = J + lam[k] * (G @ certs.cbfs[i - 1].hessian())
+    return J
 
 
 def verify_factorization(problem, x_e, lam, indices):
@@ -47,8 +64,8 @@ def verify_factorization(problem, x_e, lam, indices):
         return None
     p = problem.params.p
     lambda0_e = p * d.gamma_val
-    gamma_slope = problem.certificates.gamma_slope(d.V)
-    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
+    gamma_slope = problem.certificates.gamma.gain
+    J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
     lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)

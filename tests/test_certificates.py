@@ -1,10 +1,10 @@
 """Quadratic certificate evaluation: values, gradients, Hessians, class-K
-gains, and the stacked-gradient helper."""
+gains, and the (N+1)-row certificate table with its stacked accessors."""
 import numpy as np
 import pytest
 
 from clfcbf import CertificateSet, ClassKappa, QuadraticCertificate
-from clfcbf.certificates import MAX_BARRIERS
+from clfcbf.certificates import MAX_BARRIERS, _quadrics
 from clfcbf.errors import DimensionMismatchError, InvalidParameterError
 
 
@@ -99,18 +99,20 @@ def make_set():
 def test_certificate_set_accessors():
     cs = make_set()
     x = np.array([3.0, 0.0])
-    assert cs.clf_value(x) == pytest.approx(4.5)
-    assert np.allclose(cs.clf_gradient(x), x)
-    assert np.allclose(cs.clf_hessian(), np.eye(2))
-    assert cs.gamma_value(4.5) == pytest.approx(4.5)
-    assert cs.gamma_slope(4.5) == pytest.approx(1.0)
+    assert cs.clf.value(x) == pytest.approx(4.5)
+    assert np.allclose(cs.clf.gradient(x), x)
+    assert np.allclose(cs.clf.hessian(), np.eye(2))
+    assert cs.gamma.value(4.5) == pytest.approx(4.5)
+    assert cs.gamma.gain == pytest.approx(1.0)
     h = cs.barrier_values(x)
     assert h.shape == (2,)
     assert h[0] == pytest.approx(0.0, abs=1e-14)
     assert h[1] == pytest.approx(17.0)
-    assert np.allclose(cs.alpha_vector(x), [h[0], 2.0 * h[1]])
-    assert np.allclose(cs.alpha_slopes(x), [1.0, 2.0])
-    assert np.allclose(cs.alpha_slopes(x, indices=[2]), [2.0])
+    assert np.allclose(cs.alpha_gains * h, [h[0], 2.0 * h[1]])
+    assert np.allclose(cs.alpha_gains, [1.0, 2.0])
+    assert np.allclose(cs.alpha_gains[[1]], [2.0])  # CBF 2
+    assert np.array_equal(cs.values(x), [cs.clf.value(x), *h])
+    assert np.array_equal(cs.row_gains, [1.0, 1.0, 2.0])
 
 
 def test_stacked_gradients_order_and_subset():
@@ -152,7 +154,7 @@ def test_clf_without_gamma_rejected():
         )
 
 
-def _random_spd_set(rng, n, n_barriers):
+def _random_spd_set(rng, n, n_barriers, with_clf=False):
     cbfs = []
     for _ in range(n_barriers):
         B = rng.standard_normal((n, n))
@@ -160,17 +162,23 @@ def _random_spd_set(rng, n, n_barriers):
             shape=B @ B.T + 0.3 * np.eye(n), center=3.0 * rng.standard_normal(n),
             offset=-rng.uniform(0.5, 2.0)))
     alphas = tuple(ClassKappa(g) for g in rng.uniform(0.2, 3.0, n_barriers))
-    return CertificateSet(cbfs=tuple(cbfs), alphas=alphas)
+    if not with_clf:
+        return CertificateSet(cbfs=tuple(cbfs), alphas=alphas)
+    B = rng.standard_normal((n, n))
+    clf = QuadraticCertificate.clf(B @ B.T + 0.3 * np.eye(n), rng.standard_normal(n))
+    return CertificateSet(cbfs=tuple(cbfs), alphas=alphas, clf=clf,
+                          gamma=ClassKappa(rng.uniform(0.2, 3.0)))
 
 
 @pytest.mark.parametrize("n_barriers", range(1, MAX_BARRIERS + 1))
 def test_stacked_arrays_match_per_certificate_evaluation(n_barriers):
-    # The einsum path over the stacked arrays must reproduce the
-    # one-certificate-at-a-time evaluation, for every index subset order.
+    # The stacked table must reproduce the one-certificate-at-a-time
+    # evaluation, for every index subset order; its row 0 is the CLF bit for
+    # bit, and without a CLF exactly the zero substitution V = 0.
     rng = np.random.default_rng([31, n_barriers])
-    for _ in range(10):
+    for trial in range(10):
         n = int(rng.integers(1, 5))
-        cs = _random_spd_set(rng, n, n_barriers)
+        cs = _random_spd_set(rng, n, n_barriers, with_clf=trial % 2 == 1)
         x = 3.0 * rng.standard_normal(n)
         h_ref = np.array([b.value(x) for b in cs.cbfs])
         U_ref = np.column_stack([b.gradient(x) for b in cs.cbfs])
@@ -180,17 +188,31 @@ def test_stacked_arrays_match_per_certificate_evaluation(n_barriers):
         h_scale = np.abs(h_ref - cs.offsets) + np.abs(cs.offsets)
         gains = np.array([a.gain for a in cs.alphas])
         assert np.all(np.abs(cs.barrier_values(x) - h_ref) <= 1e-12 * h_scale)
-        assert np.all(np.abs(cs.alpha_vector(x) - alpha_ref) <= 1e-12 * gains * h_scale)
+        assert np.all(np.abs(cs.alpha_gains * cs.barrier_values(x) - alpha_ref)
+                      <= 1e-12 * gains * h_scale)
         assert np.allclose(cs.stacked_gradients(x), U_ref, rtol=1e-12, atol=0.0)
-        assert np.array_equal(cs.alpha_slopes(x), slope_ref)
+        assert np.array_equal(cs.alpha_gains, slope_ref)
         idx = list(rng.permutation(n_barriers)[:int(rng.integers(0, n_barriers + 1))] + 1)
         cols = [i - 1 for i in idx]
         assert cs.stacked_gradients(x, idx).shape == (n, len(idx))
         assert np.allclose(cs.stacked_gradients(x, idx), U_ref[:, cols],
                            rtol=1e-12, atol=0.0)
-        assert np.all(np.abs(cs.alpha_vector(x, idx) - alpha_ref[cols])
+        assert np.all(np.abs(cs.alpha_gains[cols] * cs.barrier_values(x)[cols]
+                             - alpha_ref[cols])
                       <= 1e-12 * gains[cols] * h_scale[cols])
-        assert np.array_equal(cs.alpha_slopes(x, idx), slope_ref[cols])
+        assert np.array_equal(cs.alpha_gains[cols], slope_ref[cols])
+
+        values, grads = _quadrics(cs.row_shapes, cs.row_centers, cs.row_offsets,
+                                  x[None])
+        if cs.has_clf:
+            assert values[0, 0] == cs.clf.value(x)
+            assert np.array_equal(grads[0, 0], cs.clf.gradient(x))
+            assert cs.row_gains[0] == cs.gamma.gain
+        else:
+            assert values[0, 0] == 0.0 and not np.signbit(values[0, 0])
+            assert np.array_equal(grads[0, 0], np.zeros(n))
+            assert cs.row_gains[0] == 0.0
+        assert cs.values(x)[0] == values[0, 0]
 
 
 def test_stacked_arrays_are_read_only():
@@ -199,18 +221,20 @@ def test_stacked_arrays_are_read_only():
     assert cs.centers.shape == (2, 2)
     assert cs.offsets.shape == (2,)
     assert np.array_equal(cs.alpha_gains, [1.0, 2.0])
-    for arr in (cs.shapes, cs.centers, cs.offsets, cs.alpha_gains):
+    assert cs.row_shapes.shape == (3, 2, 2)
+    assert np.array_equal(cs.row_gains, [1.0, 1.0, 2.0])
+    for arr in (cs.shapes, cs.centers, cs.offsets, cs.alpha_gains,
+                cs.row_shapes, cs.row_centers, cs.row_offsets, cs.row_gains):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    slopes = cs.alpha_slopes(np.zeros(2))
-    slopes[0] = 5.0  # a copy, not the stored gains
-    assert cs.alpha_gains[0] == 1.0
+    # the barrier arrays are views of rows 1..N of the table
+    assert cs.shapes.base is cs.row_shapes
+    assert cs.alpha_gains.base is cs.row_gains
 
 
 @pytest.mark.parametrize("bad", [[0], [3], [-1], [1, 1], [2, 1, 2]])
 def test_bad_or_repeated_indices_rejected(bad):
     cs = make_set()
     x = np.array([3.0, 0.0])
-    for accessor in (cs.stacked_gradients, cs.alpha_vector, cs.alpha_slopes):
-        with pytest.raises(InvalidParameterError):
-            accessor(x, indices=bad)
+    with pytest.raises(InvalidParameterError):
+        cs.stacked_gradients(x, indices=bad)

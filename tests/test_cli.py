@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from clfcbf import AnalysisReport, load_bundled_scenario
-from clfcbf.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from clfcbf.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, _fmt_vec, main
 
 
 def _write(tmp_path, doc, name="case.scenario"):
@@ -324,3 +324,12 @@ def test_seed_override_changes_the_sample_set(tmp_path):
     assert csv0 != csv1
     report = AnalysisReport.load(out1 / "feasibility_report.yaml")
     assert report.sections["feasibility_scan"]["seed"] == 1
+
+
+def test_fmt_vec_never_prints_a_negative_zero():
+    # Rounding noise of either sign prints as the same text, so a last-bit
+    # change in a search cannot flip the table.
+    assert _fmt_vec([-1e-17, -0.0, 0.0, 1e-17]) == (
+        "( 0.0000000000,  0.0000000000,  0.0000000000,  0.0000000000)")
+    assert _fmt_vec([-0.45, -0.0], 6) == "(-0.450000,  0.000000)"
+    assert _fmt_vec([-4e-7, 4e-7], 6) == "( 0.000000,  0.000000)"

@@ -16,6 +16,7 @@ from clfcbf import (
     ControlProblem,
     DynamicsModel,
     EquilibriumReport,
+    InvalidParameterError,
     NominalController,
     PreconditionError,
     QuadraticCertificate,
@@ -68,8 +69,8 @@ def boundary_residual_scan(problem, points, indices):
         certs = problem.certificates
         target = (
             problem.params.p
-            * certs.gamma_value(certs.clf_value(x))
-            * (G @ certs.clf_gradient(x))
+            * certs.gamma.gain * certs.clf.value(x)
+            * (G @ certs.clf.gradient(x))
         )
         U = certs.stacked_gradients(x, indices)
         cols = G @ U
@@ -188,9 +189,9 @@ def test_conical_combination_identity_fig1(fig1, fig1_scenario):
         for rep in find_boundary_equilibria(fig1, indices, fig1_scenario.search):
             if not rep.validated:
                 continue
-            lhs = fig1.params.p * certs.gamma_value(
-                certs.clf_value(rep.x_e)
-            ) * certs.clf_gradient(rep.x_e)
+            lhs = fig1.params.p * certs.gamma.gain * certs.clf.value(
+                rep.x_e
+            ) * certs.clf.gradient(rep.x_e)
             rhs = certs.stacked_gradients(rep.x_e, list(rep.indices)) @ rep.lambda_e
             assert np.linalg.norm(lhs - rhs) <= 1e-6
 
@@ -450,9 +451,7 @@ def test_newton_jacobians_reuse_the_iterate_evaluation(
     assert seen["system"] > 1
     # one batched build per lockstep evaluation, its Jacobians included
     assert seen["builds"] == [("batch",)] * seen["system"]
-    # the search never builds the per-state layer; the QP layer is built
-    # once per root, by the solve that validates it
-    assert "state" not in assemblies
+    # the QP layer is built once per root, by the solve that validates it
     assert assemblies.count("point") == len(reports)
 
 
@@ -644,3 +643,16 @@ def test_equilibria_command_loads_no_scipy(name, tmp_path):
                 if line.startswith("import time:") and "|" in line]
     assert "clfcbf.equilibria" in imported
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("indices", [(), (0,), (3,), (1, 1), (2, 1, 2)])
+def test_boundary_search_rejects_bad_indices_before_sampling(
+        fig1, fig1_scenario, indices, monkeypatch):
+    # Empty, out-of-range and repeated index sets fail with a typed error
+    # before any seed is drawn.
+    def no_sampling(*args):
+        raise AssertionError("seeds drawn before the indices were checked")
+
+    monkeypatch.setattr(equilibria, "_boundary_samples", no_sampling)
+    with pytest.raises(InvalidParameterError):
+        find_boundary_equilibria(fig1, indices, fig1_scenario.search)

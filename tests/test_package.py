@@ -78,3 +78,43 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: _unused_imports(path.read_text())
              for path in sorted(package.glob("*.py"))}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _unread_private_helpers(sources):
+    """Private module-level functions and classes that no module reads.
+
+    ``sources`` maps module names to their source.  A name is read when it
+    appears as a loaded name or as an attribute anywhere in ``sources``;
+    its own definition does not count.
+    """
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for name, module in defined.items()
+                  if name not in read)
+
+
+def test_unread_helper_detector_flags_only_dead_helpers():
+    sources = {
+        "a": "def _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n"
+             "def public():\n    return _used()\n",
+        "b": "from . import a\ndef _via_attr():\n    pass\nx = a._via_attr\n"
+             "class C:\n    def _method(self):\n        pass\n",
+    }
+    assert _unread_private_helpers(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    package = Path(clfcbf.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unread_private_helpers(sources) == []

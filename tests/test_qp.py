@@ -60,7 +60,7 @@ def test_deflation_annihilates_gram_weighted_gradient(fig1):
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=3)
         P_V = _deflation(_PointData(fig1, x))
-        grad = fig1.certificates.clf_gradient(x)
+        grad = fig1.certificates.clf.gradient(x)
         c = _PointData(fig1, x).c
         G = fig1.gram(x)
         lhs = grad @ P_V @ G @ grad
@@ -130,8 +130,8 @@ def kkt_blocks(problem, x, sol):
         grad_V = np.zeros(x.size)
         gamma_V = 0.0
     else:
-        grad_V = certs.clf_gradient(x)
-        gamma_V = certs.gamma_value(certs.clf_value(x))
+        grad_V = certs.clf.gradient(x)
+        gamma_V = certs.gamma.gain * certs.clf.value(x)
     U = certs.stacked_gradients(x)
 
     xdot = f + g @ sol.u_star
@@ -140,7 +140,7 @@ def kkt_blocks(problem, x, sol):
     )
     slack_stationarity = p * sol.delta_star - sol.lambda0
     clf_row = grad_V @ xdot + gamma_V - sol.delta_star
-    cbf_rows = U.T @ xdot + certs.alpha_vector(x)
+    cbf_rows = U.T @ xdot + certs.alpha_gains * certs.barrier_values(x)
     return stationarity, slack_stationarity, clf_row, cbf_rows
 
 

@@ -192,7 +192,7 @@ def test_clf_null_means_no_clf():
     scenario = loads_scenario(_doc(
         clf=None, **{"controller.mode": "safety_filter"}))
     assert not scenario.certificates.has_clf
-    assert scenario.problem().certificates.clf_value(np.zeros(2)) == 0.0
+    assert scenario.problem().certificates.values(np.zeros(2))[0] == 0.0
 
 
 # -- analysis report --------------------------------------------------------------

@@ -32,13 +32,10 @@ from clfcbf import (
     find_boundary_equilibria,
     spectrum_cross_check,
 )
-from clfcbf.qp import _dual, _PointData, _State
-from clfcbf.stability import (
-    _frozen_multiplier_jacobian,
-    _orthogonal_complement_basis,
-)
+from clfcbf.qp import _dual, _PointData
+from clfcbf.stability import _orthogonal_complement_basis
 from clfcbf.systems import _finite_difference_jacobian
-from oracles import verify_factorization
+from oracles import frozen_multiplier_jacobian, verify_factorization
 
 X_DEADLOCK = np.array([3.0, 0.0])
 
@@ -75,11 +72,11 @@ def remark_difference_diagnostic(problem, x_e, lam, indices):
     """
     indices = tuple(indices)
     lam = np.asarray(lam, dtype=float)
-    d = _State(problem, x_e)
+    d = _PointData(problem, x_e)
     p = problem.params.p
     lambda0_e = p * d.gamma_val
-    gamma_slope = problem.certificates.gamma_slope(d.V)
-    J_A = _frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
+    gamma_slope = problem.certificates.gamma.gain
+    J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     difference = J_A - J_fA
     with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
@@ -98,7 +95,7 @@ def _frozen_field(problem, lambda0, lam, indices):
 
     def field(x):
         G = problem.gram(x)
-        out = problem.f_nom(x) - lambda0 * (G @ certs.clf_gradient(x))
+        out = problem.f_nom(x) - lambda0 * (G @ certs.clf.gradient(x))
         for k, i in enumerate(indices):
             out = out + lam[k] * (G @ certs.barrier(i).gradient(x))
         return out
@@ -179,11 +176,26 @@ def test_frozen_multiplier_jacobian_matches_fd(deadlock2d, fig1):
             lambda0 = float(rng.uniform(0.0, 3.0))
             indices = [1] if n == 2 else [1, 2]
             lam = rng.uniform(0.0, 3.0, size=len(indices))
-            J = _frozen_multiplier_jacobian(problem, x, lambda0, lam, indices)
+            J = frozen_multiplier_jacobian(problem, x, lambda0, lam, indices)
             J_fd = _finite_difference_jacobian(
                 _frozen_field(problem, lambda0, lam, indices), x)
             scale = max(1.0, float(np.max(np.abs(J))))
             assert np.max(np.abs(J - J_fd)) / scale < 1e-6
+
+
+def test_bundle_J_A_matches_the_per_certificate_reference(deadlock2d, fig1):
+    """The stacked J_A equals the Hessian-by-Hessian sum within 1e-12."""
+    rng = np.random.default_rng(12)
+    for problem, box in ((deadlock2d, 4.0), (fig1, 2.5)):
+        for _ in range(20):
+            x = rng.uniform(-box, box, size=problem.n)
+            indices = (1,) if problem.n == 2 else (1, 2)
+            lam = rng.uniform(0.0, 3.0, size=len(indices))
+            bundle = closed_loop_jacobian(problem, x, lam, indices)
+            lambda0_e = problem.params.p * _PointData(problem, x).gamma_val
+            J_ref = frozen_multiplier_jacobian(problem, x, lambda0_e, lam, indices)
+            scale = max(1.0, float(np.max(np.abs(J_ref))))
+            assert np.max(np.abs(bundle.J_A - J_ref)) <= 1e-12 * scale
 
 
 def test_equilibrium_field_jacobian_matches_fd(deadlock2d, fig1):
@@ -218,8 +230,8 @@ def test_jacobian_difference_is_rank_one(deadlock2d, fig1):
     assert diag["without_input_weight_residual"] > 0.1  # G != I is visible
 
     certs = fig1.certificates
-    grad_v = certs.clf_gradient(x_far)
-    slope = certs.gamma_slope(certs.clf_value(x_far))
+    grad_v = certs.clf.gradient(x_far)
+    slope = certs.gamma.gain
     expected = fig1.params.p * slope * np.outer(fig1.gram(x_far) @ grad_v, grad_v)
     assert np.allclose(diag["difference"], expected, atol=1e-8)
 
@@ -254,26 +266,6 @@ def test_complement_basis_euclidean():
     assert np.allclose(basis, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
-def test_complement_basis_metric():
-    """Columns are metric-orthogonal to the inputs and metric-orthonormal."""
-    metric = np.diag([4.0, 9.0])
-    basis = _orthogonal_complement_basis([np.array([1.0, 0.0])], metric=metric)
-    assert basis.shape == (2, 1)
-    assert np.allclose(basis[:, 0], [0.0, 1.0 / 3.0])
-
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        r = int(rng.integers(1, n))
-        root = rng.normal(size=(n, n))
-        metric = root @ root.T + n * np.eye(n)
-        vectors = rng.normal(size=(n, r))
-        basis = _orthogonal_complement_basis(vectors, metric=metric)
-        assert basis.shape == (n, n - r)
-        assert np.max(np.abs(vectors.T @ metric @ basis)) < 1e-8
-        assert np.allclose(basis.T @ metric @ basis, np.eye(n - r), atol=1e-8)
-
-
 def test_complement_basis_full_span_is_empty():
     basis = _orthogonal_complement_basis(np.eye(2))
     assert basis.shape == (2, 0)
@@ -282,11 +274,6 @@ def test_complement_basis_full_span_is_empty():
 def test_complement_basis_rejects_bad_input():
     with pytest.raises(PreconditionError):
         _orthogonal_complement_basis([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-    with pytest.raises(PreconditionError):
-        _orthogonal_complement_basis([np.array([1.0, 0.0])], metric=np.eye(3))
-    with pytest.raises(PreconditionError):
-        _orthogonal_complement_basis(
-            [np.array([1.0, 0.0])], metric=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # -- congruence factorization -------------------------------------------------
@@ -354,7 +341,7 @@ def test_bundled_equilibria_jacobian_invariants(
             assert np.max(np.abs(bundle.J_fcl - J_fd)) / scale < 1e-5, scn.name
 
             U_A = problem.certificates.stacked_gradients(rep.x_e, indices)
-            lam_prime = problem.certificates.alpha_slopes(rep.x_e, indices)
+            lam_prime = problem.certificates.alpha_gains[[i - 1 for i in indices]]
             left = U_A.T @ bundle.J_fcl + np.diag(lam_prime) @ U_A.T
             assert np.max(np.abs(left)) / scale < 1e-6, scn.name
             assert np.max(np.abs(U_A.T @ bundle.P_UA)) < 1e-8, scn.name

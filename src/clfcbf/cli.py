@@ -191,6 +191,15 @@ def cmd_simulate(args):
 # equilibria
 # ---------------------------------------------------------------------------
 
+def _spectrum_entry(spectrum):
+    """[real, imag] pairs rounded to the table's 10 decimals, -0.0 folded
+    into +0.0 and sorted descending, so the rounding noise of a repeated
+    eigenvalue (a real pair or a complex pair 1e-15 apart) never shows."""
+    rounded = np.round(np.asarray(spectrum, dtype=complex), 10)
+    pairs = np.column_stack([rounded.real, rounded.imag]) + 0.0
+    return sorted(([float(re), float(im)] for re, im in pairs), reverse=True)
+
+
 def _classify_entry(problem, rep):
     entry = {
         "kind": rep.kind,
@@ -221,8 +230,7 @@ def _classify_entry(problem, rep):
     entry["mu_max"] = float(verdict.mu_max)
     if verdict.witness is not None:
         entry["witness"] = [float(v) for v in verdict.witness]
-    entry["spectrum"] = [[float(z.real), float(z.imag)]
-                         for z in verdict.spectrum]
+    entry["spectrum"] = _spectrum_entry(verdict.spectrum)
     if verdict.verdict != "marginal":
         check = spectrum_cross_check(
             problem, rep.x_e, rep.lambda_e, rep.indices, verdict)

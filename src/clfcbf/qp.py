@@ -6,26 +6,38 @@ At each state the controller solves
     s.t.            L_f V + L_g V u  <=  -gamma(V) + delta        (CLF row)
                     L_f h_i + L_g h_i u  >=  -alpha_i(h_i),  i = 1..N
 
-with the relaxation slack ``delta`` penalized by ``p > 0``.  Strong duality
-holds (linear constraints), and the unique optimizer is recovered from the
-multipliers as
+with the relaxation slack ``delta`` penalized by ``p > 0``.  The rows are
+numbered like the certificate table, row 0 the CLF.  Written with the
+row-signed gradients D = [-grad V | U] (n, N+1) and the signed margins
+s = (-gamma(V), alpha_1(h_1), .., alpha_N(h_N)), every row reads
+D^T (f + g u) + s + delta e_0 >= 0.  Strong duality holds (linear
+constraints), and the unique optimizer is recovered from the multipliers
+l = (lambda_0, lambda_1, .., lambda_N) >= 0 as
 
-    u* = u_nom + H^{-1} g^T (-lambda_0 grad V + sum_i lambda_i grad h_i),
-    delta* = lambda_0 / p.
+    u* = u_nom + H^{-1} g^T D l,    delta* = lambda_0 / p.
 
-:func:`solve_pointwise` enumerates candidate active sets in ascending
-cardinality and accepts the first that satisfies every KKT condition;
-:func:`oracle_solve` solves the same program by accelerated projected
-gradient ascent on the dual and shares no factorization with the direct
-path — it exists to audit the former.  :func:`check_feasibility_condition`
-evaluates the sufficient feasibility certificate obtained by eliminating
-the CLF multiplier from the dual normal equations.
+Substituting them gives the dual program max -l^T A l / 2 + b^T l, l >= 0,
+with
+
+    A = D^T G D + e_0 e_0^T / p,    b = -(D^T f_nom + s),
+
+G = g H^{-1} g^T, and the row values at multipliers l are A l - b: the
+dual is a linear complementarity problem in (A, b).  :func:`solve_pointwise`
+enumerates its principal subsystems A[R, R] l_R = b[R] over candidate row
+sets R in ascending cardinality and accepts the first whose multipliers
+and row values satisfy every KKT condition; :func:`oracle_solve` maximizes
+the same dual by accelerated projected gradient ascent and shares no
+factorization with the direct path — it exists to audit the former.
+:func:`check_feasibility_condition` evaluates the sufficient feasibility
+certificate obtained by eliminating the CLF multiplier from the dual
+normal equations, the Schur complement of A on row 0.
 
 Modes
 -----
 ``safety_filter``
-    No CLF (V = 0 substituted); the CLF row degenerates to ``0 <= delta``
-    and is kept active by convention, with multiplier p * gamma(V) = 0.
+    No CLF: row 0 of the certificate table is the zero quadric with gain
+    0, so the CLF row degenerates to ``0 <= delta``; it is kept active by
+    convention, with multiplier 0.
 ``clf_cbf``
     CLF present, nominal control forced to zero.
 ``generalized``
@@ -133,15 +145,15 @@ class ControlProblem:
 
     @cached_property
     def _input_maps(self):
-        """(g, g^T, H^{-1} g^T, G); the input map is constant."""
+        """(g, H^{-1} g^T, G); the input map is constant."""
         g = self.model.input_matrix
         Hinv_gT = np.linalg.solve(self.params.cost_metric, g.T)
         G = g @ Hinv_gT
-        return g, g.T, Hinv_gT, 0.5 * (G + G.T)
+        return g, Hinv_gT, 0.5 * (G + G.T)
 
     def gram(self, x):
         """Symmetrized g H^{-1} g^T at x."""
-        return self._input_maps[3]
+        return self._input_maps[2]
 
     def f_nom(self, x):
         """Nominal closed-loop field f(x) + g u_nom(x)."""
@@ -170,8 +182,8 @@ class QpSolution:
     entries.  ``kkt_residual`` is the largest violation among stationarity,
     primal feasibility, dual feasibility and complementary slackness.
     ``xdot`` is the closed-loop field f + g u* at the solved state,
-    assembled from the multipliers as f_nom + G (-lambda0 grad V + U lam)
-    in the same pass that built the solution.
+    assembled from the multipliers l = (lambda0, lam) as f_nom + G D l in
+    the same pass that built the solution.
     """
 
     u_star: np.ndarray
@@ -203,93 +215,101 @@ class FeasibilityReport:
 
 
 class _PointData:
-    """Everything the pointwise QP needs at one state, computed once.
+    """The pointwise QP's dual at one state, computed once.
 
-    V, grad V, h and U come from one evaluation of all N+1 rows of the
-    certificate table (row 0 the CLF, zero in safety-filter mode), and the
-    margins gamma(V) and alpha_i(h_i) are the table gains times those rows.
+    ``D`` (n, N+1) holds the row-signed gradients [-grad V | U] and ``s``
+    (N+1,) the signed margins (-gamma(V), alpha_1(h_1), ..), both from one
+    evaluation of all N+1 rows of the certificate table (row 0 the zero
+    quadric with gain 0 in safety-filter mode); ``A`` and ``b`` are the dual
+    matrices of the module docstring, indexed like the table.
     """
 
-    __slots__ = ("x", "f", "g", "gT", "Hinv_gT", "G", "u_nom", "f_nom",
-                 "gradV", "gamma_val", "h", "U", "H", "alpha", "c",
-                 "gT_gradV", "gT_U", "Hg_gradV", "Hg_U", "M_full", "v_full",
-                 "F_V", "F_h")
+    __slots__ = ("problem", "x", "f", "u_nom", "f_nom", "D", "s", "A", "b")
 
     def __init__(self, problem, x):
         certs = problem.certificates
+        self.problem = problem
         self.x = x = np.asarray(x, dtype=float).ravel()
         if x.shape != (problem.n,):
             raise DimensionMismatchError(
                 f"x has shape {x.shape}, expected ({problem.n},)")
+        g, _, G = problem._input_maps
         self.f = _eval_drift(problem.model, x)
-        self.g, self.gT, self.Hinv_gT, self.G = problem._input_maps
         self.u_nom = problem.u_nom(x)
-        self.f_nom = self.f + self.g @ self.u_nom
+        self.f_nom = self.f + g @ self.u_nom
         values, grads = _quadrics(certs.row_shapes, certs.row_centers,
                                   certs.row_offsets, x[None])
-        margins = certs.row_gains * values[0]
-        self.gamma_val = float(margins[0])
-        self.h, self.alpha = values[0, 1:], margins[1:]
-        self.gradV, self.U = grads[0, 0], grads[0, 1:].T
-        self.H = problem.params.cost_metric
-        G_gradV = self.G @ self.gradV
-        self.c = 1.0 / problem.params.p + float(self.gradV @ G_gradV)
-        self.gT_gradV = self.gT @ self.gradV
-        self.gT_U = self.gT @ self.U
-        self.Hg_gradV = self.Hinv_gT @ self.gradV
-        self.Hg_U = self.Hinv_gT @ self.U
-        GU = self.G @ self.U
-        self.M_full = self.U.T @ GU
-        self.v_full = self.U.T @ G_gradV
-        self.F_V = float(self.gradV @ self.f_nom) + self.gamma_val
-        self.F_h = self.U.T @ self.f_nom + self.alpha
+        self.s = s = certs.row_gains * values[0]
+        self.D = D = grads[0].T
+        s[0] = -s[0]
+        D[:, 0] = -D[:, 0]
+        self.A = D.T @ (G @ D)
+        self.A[0, 0] += 1.0 / problem.params.p
+        self.b = -(self.f_nom @ D + s)
 
-    def control(self, lambda0, indices, lam_active):
-        u = self.u_nom - lambda0 * self.Hg_gradV
-        if indices:
-            u = u + self.Hg_U[:, [i - 1 for i in indices]] @ lam_active
-        return u
+    def solution(self, l, active=None):
+        """The :class:`QpSolution` of multipliers ``l`` >= 0 over all N+1 rows.
 
-    def closed_loop(self, lambda0, lam):
-        """Closed-loop field f_nom + G (-lambda0 grad V + U lam)."""
-        return self.f_nom + self.G @ (-lambda0 * self.gradV + self.U @ lam)
-
-    def rows(self, u, delta):
-        """(clf_row, cbf_rows): feasible iff all >= 0."""
-        xdot = self.f + self.g @ u
-        clf_row = delta - (float(self.gradV @ xdot) + self.gamma_val)
-        cbf_rows = self.U.T @ xdot + self.alpha
-        return clf_row, cbf_rows
+        ``kkt_residual`` is measured on the primal rows of f + g u*, not on
+        A l - b, so it checks the dual's screening independently.  With
+        ``active`` omitted the report lists the rows tight within the
+        active tolerance, and row 0 always in safety-filter mode.
+        """
+        problem = self.problem
+        g, Hinv_gT, G = problem._input_maps
+        p = problem.params.p
+        Dl = self.D @ l
+        u = self.u_nom + Hinv_gT @ Dl
+        lambda0 = float(l[0])
+        delta = lambda0 / p
+        rows = (self.f + g @ u) @ self.D + self.s
+        rows[0] += delta
+        # stationarity in u: H (u - u_nom) - g^T D l = 0
+        stationarity = problem.params.cost_metric @ (u - self.u_nom) - Dl @ g
+        residual = max(
+            float(abs(stationarity).max()),
+            abs(p * delta - lambda0),
+            float(max(0.0, -rows.min(), -l.min(), abs(l * rows).max())),
+        )
+        if active is None:
+            tight = np.abs(rows) <= problem.tolerances.active
+            if problem.params.mode == "safety_filter":
+                tight[CLF_ROW] = True
+            active = np.flatnonzero(tight).tolist()
+        return QpSolution(
+            u_star=u,
+            delta_star=delta,
+            lambda0=lambda0,
+            lam=l[1:],
+            active_set=frozenset(active),
+            kkt_residual=residual,
+            xdot=self.f_nom + G @ Dl,
+        )
 
 
 def _deflation(d):
     """I - G grad V grad V^T / c at an assembled point ``d``.
 
-    ``d.c = 1/p + ||grad V||_G^2`` is the dual-cost curvature of the CLF
-    row.  Multiplying a field by this matrix performs the Gauss-elimination
-    step that removes the CLF multiplier from the dual normal equations; it
-    is the identity whenever grad V = 0 (safety-filter mode or the CLF
-    center).
+    ``c = A[0, 0] = 1/p + ||grad V||_G^2`` is the dual-cost curvature of
+    the CLF row; it is the identity whenever grad V = 0 (safety-filter mode
+    or the CLF center).
     """
-    return np.eye(d.x.shape[0]) - np.outer(d.G @ d.gradV, d.gradV) / d.c
+    D0 = d.D[:, 0]
+    return np.eye(D0.shape[0]) - np.outer(d.problem.gram(None) @ D0, D0) / d.A[0, 0]
 
 
-def _dual(d):
-    """Dual matrices (A, b) at an assembled point ``d``.
+def _schur(d, rows):
+    """(S, b2): the CLF multiplier eliminated from A[R, R] l_R = b[R].
 
-    The dual program is max -l^T A l / 2 + b^T l, l >= 0.  A is symmetric
-    positive semidefinite within 1e-10; its leading entry is the CLF-row
-    curvature ``c`` and the trailing block is U^T G U.
+    ``rows`` lists R with row 0 first; S = A/A[0, 0] is the Schur complement
+    of the block on row 0 (symmetrized) and b2 the matching reduced
+    right-hand side, so S y = b2 holds for the barrier multipliers y of
+    every solution.
     """
-    N = d.h.shape[0]
-    A = np.empty((N + 1, N + 1))
-    A[0, 0] = d.c
-    A[0, 1:] = -d.v_full
-    A[1:, 0] = -d.v_full
-    A[1:, 1:] = d.M_full
-    A = 0.5 * (A + A.T)
-    b = np.concatenate(([d.F_V], -d.F_h))
-    return A, b
+    R = list(rows)
+    A, b = d.A[R][:, R], d.b[R]
+    S = A[1:, 1:] - np.outer(A[1:, 0], A[0, 1:]) / A[0, 0]
+    return 0.5 * (S + S.T), b[1:] - A[1:, 0] * (b[0] / A[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -319,44 +339,31 @@ def _normalize_candidate(active, n_barriers, clf_optional):
     return tuple(rows)
 
 
-def _solve_candidate(d, candidate):
-    """Multipliers (lambda0, lam_active, indices) for one candidate active set."""
-    clf_active = candidate and candidate[0] == CLF_ROW
-    indices = candidate[1:] if clf_active else candidate
-    cols = [i - 1 for i in indices]
-    r = len(cols)
-    if clf_active and r:
-        A = np.empty((r + 1, r + 1))
-        A[0, 0] = d.c
-        A[0, 1:] = -d.v_full[cols]
-        A[1:, 0] = -d.v_full[cols]
-        A[1:, 1:] = d.M_full[np.ix_(cols, cols)]
-        rhs = np.concatenate(([d.F_V], -d.F_h[cols]))
-    elif clf_active:
-        return d.F_V / d.c, np.zeros(0), indices
-    elif r:
-        A = d.M_full[np.ix_(cols, cols)]
-        rhs = -d.F_h[cols]
-    else:
-        return 0.0, np.zeros(0), indices
+def _block_solve(A, b, R):
+    """l_R with A[R, R] l_R = b[R]: in closed form for one row, else by LU
+    with a least-squares fallback when the block is singular."""
+    if len(R) == 1:
+        a = A[R[0], R[0]]
+        return np.array([b[R[0]] / a if a != 0.0 else 0.0])
+    block, rhs = A[R][:, R], b[R]
     try:
-        sol = np.linalg.solve(A, rhs)
+        sol = np.linalg.solve(block, rhs)
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    if clf_active:
-        return float(sol[0]), sol[1:], indices
-    return 0.0, sol, indices
+        sol = np.linalg.lstsq(block, rhs, rcond=None)[0]
+    return sol
 
 
 def solve_pointwise(problem, x, first_guess=None):
     """Solve the pointwise QP by reduced-KKT active-set enumeration.
 
-    Candidate active sets are tried in ascending cardinality and
-    lexicographic order (the CLF row always active in safety-filter mode);
-    the first candidate whose multipliers and primal rows satisfy every
-    KKT condition wins, which resolves degenerate ties deterministically.
+    Candidate active sets R are tried in ascending cardinality and
+    lexicographic order (the CLF row always active in safety-filter mode).
+    Each solves the principal subsystem A[R, R] l_R = b[R] of the dual;
+    the first candidate whose multipliers are nonnegative and whose row
+    values A l - b are nonnegative, and zero on R, wins, which resolves
+    degenerate ties deterministically.
 
     ``first_guess`` (an iterable of row indices, e.g. the active set of
     the solution at a nearby state) is tried before the enumeration; any
@@ -372,90 +379,52 @@ def solve_pointwise(problem, x, first_guess=None):
     """
     d = _PointData(problem, x)
     tol = problem.tolerances
-    p = problem.params.p
+    A, b = d.A, d.b
+    n_barriers = b.shape[0] - 1
     clf_optional = problem.params.mode != "safety_filter"
-    candidates = _candidate_active_sets(d.h.shape[0], clf_optional)
+    candidates = _candidate_active_sets(n_barriers, clf_optional)
     if first_guess is not None:
-        guess = _normalize_candidate(first_guess, d.h.shape[0], clf_optional)
+        guess = _normalize_candidate(first_guess, n_barriers, clf_optional)
         if guess is not None:
             # lazy: a warm hit never walks the cached enumeration
             candidates = itertools.chain(
                 (guess,), (c for c in candidates if c != guess))
     for candidate in candidates:
-        lambda0, lam_active, indices = _solve_candidate(d, candidate)
-        clf_active = bool(candidate) and candidate[0] == CLF_ROW
-        # dual feasibility, with a tiny clamp for roundoff
-        if lambda0 < -tol.multiplier:
-            continue
-        if lam_active.size and float(np.min(lam_active)) < -tol.multiplier:
-            continue
-        lambda0 = max(lambda0, 0.0)
-        lam_active = np.maximum(lam_active, 0.0)
-        u = d.control(lambda0, indices, lam_active)
-        delta = lambda0 / p
-        clf_row, cbf_rows = d.rows(u, delta)
-        # primal feasibility of every row
-        if clf_row < -tol.active or np.any(cbf_rows < -tol.active):
-            continue
-        # active rows must actually be tight
-        if clf_active and abs(clf_row) > tol.active:
-            continue
-        if indices and np.any(np.abs(cbf_rows[[i - 1 for i in indices]]) > tol.active):
-            continue
-        lam = np.zeros(d.h.shape[0])
-        for i, val in zip(indices, lam_active):
-            lam[i - 1] = val
-        residual = _kkt_residual(d, p, u, delta, lambda0, lam, clf_row, cbf_rows)
-        return QpSolution(
-            u_star=u,
-            delta_star=delta,
-            lambda0=lambda0,
-            lam=lam,
-            active_set=frozenset(candidate),
-            kkt_residual=residual,
-            xdot=d.closed_loop(lambda0, lam),
-        )
-    report = check_feasibility_condition(problem, x)
+        R = list(candidate)
+        l = np.zeros(n_barriers + 1)
+        if R:
+            l_R = _block_solve(A, b, R)
+            # dual feasibility, with a tiny clamp for roundoff
+            if l_R.min() < -tol.multiplier:
+                continue
+            l[R] = np.maximum(l_R, 0.0)
+        # every row feasible, and the candidate's rows tight
+        rows = A @ l - b
+        if rows.min() >= -tol.active and (not R or abs(rows[R]).max() <= tol.active):
+            return d.solution(l, candidate)
     raise InfeasibleQPError(
         f"no KKT-consistent active set at x={d.x}; QP infeasible",
-        x=d.x, feasibility=report)
-
-
-def _kkt_residual(d, p, u, delta, lambda0, lam, clf_row, cbf_rows):
-    """Largest violation among the four KKT condition groups."""
-    # stationarity in u: H (u - u_nom) - g^T (-lambda0 gradV + U lam) = 0
-    stationarity = d.H @ (u - d.u_nom) - (-lambda0 * d.gT_gradV + d.gT_U @ lam)
-    return max(
-        float(np.max(np.abs(stationarity))),
-        abs(p * delta - lambda0),
-        max(0.0, -clf_row),
-        float(max(0.0, -np.min(cbf_rows, initial=0.0))),
-        max(0.0, -lambda0),
-        float(max(0.0, -np.min(lam, initial=0.0))),
-        abs(lambda0 * clf_row),
-        float(np.max(np.abs(lam * cbf_rows), initial=0.0)),
-    )
+        x=d.x, feasibility=_feasibility(d))
 
 
 def oracle_solve(problem, x, max_iter=200_000):
     """Reference solution via accelerated projected gradient on the dual.
 
     Structurally independent of :func:`solve_pointwise`: no active sets,
-    no reduced linear solves — the full dual quadratic is maximized over
+    no reduced linear solves -- the full dual quadratic is maximized over
     the nonnegative orthant with FISTA-style acceleration and adaptive
     restart, then the primal is recovered from stationarity.  Intended for
     audits and tests; raises :class:`OracleFailureError` on non-convergence
     or a detectably unbounded dual so that it can never silently pass.
     """
     d = _PointData(problem, x)
-    A, b = _dual(d)
+    A, b = d.A, d.b
     tol = problem.tolerances.oracle_residual * max(1.0, float(np.max(np.abs(b))))
     lipschitz = float(np.max(np.linalg.eigvalsh(A)))
     if lipschitz <= 0.0:
         # A = 0 only when G = 0 and 1/p = 0, which parameters forbid; guard anyway
         if np.all(b <= tol):
-            lam_bar = np.zeros_like(b)
-            return _solution_from_dual(problem, d, lam_bar)
+            return d.solution(np.zeros_like(b))
         raise OracleFailureError("dual has zero curvature but a positive gradient")
     step = 1.0 / lipschitz
     lam = np.zeros_like(b)
@@ -467,7 +436,7 @@ def oracle_solve(problem, x, max_iter=200_000):
         # natural residual at the new iterate
         residual = nxt - np.maximum(nxt - (A @ nxt - b), 0.0)
         if float(np.max(np.abs(residual))) <= tol:
-            return _solution_from_dual(problem, d, nxt)
+            return d.solution(nxt)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         direction = nxt - lam
         if float(grad @ direction) > 0.0:
@@ -484,61 +453,39 @@ def oracle_solve(problem, x, max_iter=200_000):
         f"dual ascent did not reach residual {tol:g} in {max_iter} iterations at x={d.x}")
 
 
-def _solution_from_dual(problem, d, lam_bar):
-    p = problem.params.p
-    lambda0 = float(lam_bar[0])
-    lam = np.asarray(lam_bar[1:], dtype=float)
-    indices = tuple(range(1, lam.shape[0] + 1))
-    u = d.control(lambda0, indices, lam)
-    delta = lambda0 / p
-    clf_row, cbf_rows = d.rows(u, delta)
-    eps = problem.tolerances.active
-    active = set()
-    if problem.params.mode == "safety_filter" or abs(clf_row) <= eps:
-        active.add(CLF_ROW)
-    active.update(i + 1 for i in range(lam.shape[0]) if abs(cbf_rows[i]) <= eps)
-    residual = _kkt_residual(d, p, u, delta, lambda0, lam, clf_row, cbf_rows)
-    return QpSolution(
-        u_star=u,
-        delta_star=delta,
-        lambda0=lambda0,
-        lam=lam,
-        active_set=frozenset(active),
-        kkt_residual=residual,
-        xdot=d.closed_loop(lambda0, lam),
-    )
-
-
 def check_feasibility_condition(problem, x):
     """Sufficient feasibility certificate at ``x``.
 
-    Eliminating the CLF multiplier from the dual normal equations leaves the
-    reduced system M y = b2 with M = U^T P G U (P the CLF-gradient deflation)
-    and b2 = U^T (gamma(V) G grad V / c - P f_nom) - alpha.  Membership of b2
-    in the image of M bounds the dual, hence the primal QP is feasible.
+    Eliminating the CLF multiplier from the dual normal equations A l = b
+    leaves the reduced system M y = b2 over the barrier rows: M is the
+    Schur complement of A on row 0, which equals U^T P G U with P the
+    CLF-gradient deflation I - G grad V grad V^T / A[0, 0], and
+    b2 = b[1:] - A[1:, 0] b[0] / A[0, 0].  Membership of b2 in the image of
+    M bounds the dual, hence the primal QP is feasible.
     ``holds -> solve_pointwise succeeds`` is asserted by the scan command;
     the converse direction is deliberately not claimed.
     """
-    d = _PointData(problem, x)
-    P = _deflation(d)
-    PG = P @ d.G
-    M = d.U.T @ PG @ d.U
-    M = 0.5 * (M + M.T)
-    b2 = d.U.T @ ((d.gamma_val / d.c) * (d.G @ d.gradV) - P @ d.f_nom) - d.alpha
+    return _feasibility(_PointData(problem, x))
+
+
+def _feasibility(d):
+    """The :class:`FeasibilityReport` of an assembled point ``d``."""
+    tol = d.problem.tolerances
+    M, b2 = _schur(d, range(d.b.shape[0]))
     svals_U, svals, _ = np.linalg.svd(M)
-    cutoff = problem.tolerances.rank * max(1.0, float(svals[0]) if svals.size else 1.0)
+    cutoff = tol.rank * max(1.0, float(svals[0]) if svals.size else 1.0)
     rank = int(np.sum(svals > cutoff))
     # distance of b2 from the numerical column space of M
     basis = svals_U[:, :rank]
     residual = float(np.linalg.norm(b2 - basis @ (basis.T @ b2)))
-    holds = residual <= problem.tolerances.image * max(1.0, float(np.linalg.norm(b2)))
+    holds = residual <= tol.image * max(1.0, float(np.linalg.norm(b2)))
     return FeasibilityReport(holds=holds, residual=residual, rank=rank)
 
 
 def closed_loop_field(problem, x, solution=None):
     """Closed-loop vector field f(x) + g(x) u*(x), assembled from multipliers.
 
-    Returns ``solution.xdot``, i.e. f_nom + G (-lambda0 grad V + U lam),
+    Returns ``solution.xdot``, i.e. f_nom + G D l with l = (lambda0, lam),
     which equals f + g u* identically; the equality within 1e-8 is one of
     the audited invariants.  ``solution`` must be the one solved at ``x``;
     when omitted the QP is solved at ``x`` first.

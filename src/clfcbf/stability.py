@@ -3,7 +3,9 @@
 Inside the region where a fixed active set A stays optimal, the closed
 loop is smooth and its Jacobian at an equilibrium factors through the
 Schur complement S_A = U_A^T P G U_A of the reduced dual system (P the
-CLF-gradient deflation).  Two structural facts drive the classification:
+CLF-gradient deflation), which is the dual matrix on the rows (0,) + A
+with the CLF row eliminated.  Two structural facts drive the
+classification:
 
 * every active-barrier gradient is a left eigenvector of the closed-loop
   Jacobian with eigenvalue -alpha'_i(0) < 0, so the constraint directions
@@ -26,7 +28,7 @@ import numpy as np
 
 from .certificates import _check_indices, _quadrics
 from .errors import DimensionMismatchError, PreconditionError
-from .qp import _PointData, closed_loop_field
+from .qp import _deflation, _PointData, _schur, closed_loop_field
 from .systems import _as_state, _finite_difference_jacobian
 
 __all__ = [
@@ -184,23 +186,22 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     d = _PointData(problem, x_e)
     tol = problem.tolerances
     n = d.x.shape[0]
-    cols = [i - 1 for i in indices]
-    U_A = d.U[:, cols]
-    r = U_A.shape[1]
+    r = len(indices)
     if r == 0:
         raise PreconditionError("closed_loop_jacobian needs a nonempty active set")
+    # the columns of D are the table rows: -grad V, then the barrier gradients
+    U_A = d.D[:, indices]
     sv = np.linalg.svd(U_A, compute_uv=False)
     if int(np.sum(sv > tol.rank * max(1.0, float(sv[0])))) < r:
         raise PreconditionError("active barrier gradients are linearly dependent")
-    if float(np.max(np.abs(d.gT @ U_A))) < 1e-14:
+    if float(np.max(np.abs(U_A.T @ problem.model.input_matrix))) < 1e-14:
         raise PreconditionError("input map has no authority on the active gradients")
 
-    p = problem.params.p
-    lambda0_e = p * d.gamma_val
-    P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
-    PVG = P_V @ d.G
-    S_A = U_A.T @ PVG @ U_A
-    S_A = 0.5 * (S_A + S_A.T)
+    G = problem.gram(None)
+    gradV = -d.D[:, 0]
+    lambda0_e = -problem.params.p * d.s[0]
+    P_V = _deflation(d)
+    S_A, _ = _schur(d, (0,) + indices)
     s_sv = np.linalg.svd(S_A, compute_uv=False)
     cond_S = float(s_sv[0] / s_sv[-1]) if s_sv[-1] > 0.0 else np.inf
     if not np.isfinite(cond_S) or cond_S > MAX_SCHUR_CONDITION:
@@ -211,21 +212,21 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     gains = problem.certificates.row_gains
     lam_prime = gains[list(indices)]
 
-    PVG_UA = PVG @ U_A
+    PVG_UA = P_V @ G @ U_A
     P_UA = np.eye(n) - PVG_UA @ S_inv @ U_A.T
     system, z = _stack_of_one(problem, d.x, lam, indices)
     J_fA = system(z)[1][0, :n, :n]
     # multipliers frozen at (lambda0_e, lam): d/dx of f_nom + G(-lambda0 grad V + U_A lam)
     J_A = system.F + system.curvature(np.concatenate(([-lambda0_e], lam))[None])[0]
-    core = P_V @ J_A - (gains[0] / d.c) * np.outer(d.G @ d.gradV, d.gradV)
+    core = P_V @ J_A - (gains[0] / d.A[0, 0]) * np.outer(G @ gradV, gradV)
     J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
 
     cond_B_V = np.nan
-    g_sv = np.linalg.svd(d.G, compute_uv=False)
-    grad_norm = float(np.max(np.abs(d.gradV)))
+    g_sv = np.linalg.svd(G, compute_uv=False)
+    grad_norm = float(np.max(np.abs(gradV)))
     if grad_norm > 1e-12 and g_sv[-1] > tol.rank * max(1.0, float(g_sv[0])):
-        W = _orthogonal_complement_basis([d.G @ d.gradV])
-        B_V = np.column_stack([d.gradV, W])
+        W = _orthogonal_complement_basis([G @ gradV])
+        B_V = np.column_stack([gradV, W])
         cond_B_V = float(np.linalg.cond(B_V))
 
     return JacobianBundle(

@@ -2,8 +2,11 @@
 
 ``frozen_multiplier_jacobian`` is the multiplier-frozen Jacobian summed
 certificate by certificate from each Hessian, the reference for the
-stacked ``JacobianBundle.J_A``; ``verify_factorization`` re-derives, on
-its own, the congruence behind the stability test; ``newton`` is the damped Newton method for one seed
+stacked ``JacobianBundle.J_A``; ``deflated_reduced_system`` is the reduced
+dual system U_A^T P_V G U_A y = b2 written with the CLF-gradient
+deflation P_V, the reference for the Schur complements of the dual
+matrix; ``verify_factorization`` re-derives, on its own, the congruence
+behind the stability test; ``newton`` is the damped Newton method for one seed
 that the library's lockstep Newton replaced, and ``public_system`` its
 augmented equilibrium system built from public evaluation calls, kept to
 show that the lockstep run returns every seed's root bit for bit;
@@ -20,8 +23,8 @@ from clfcbf import (
     equilibrium_field_jacobian,
     solve_pointwise,
 )
-from clfcbf.qp import _PointData
 from clfcbf.stability import _orthogonal_complement_basis
+from clfcbf.systems import _eval_drift
 
 
 def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
@@ -42,6 +45,40 @@ def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
     return J
 
 
+def _clf_terms(problem, x):
+    """(grad V, gamma(V), c = 1/p + grad V^T G grad V) from the CLF's own
+    methods, zeros without a CLF."""
+    certs = problem.certificates
+    if certs.clf is None:
+        grad_v, gamma_v = np.zeros(problem.n), 0.0
+    else:
+        grad_v = certs.clf.gradient(x)
+        gamma_v = certs.gamma.gain * certs.clf.value(x)
+    c = 1.0 / problem.params.p + grad_v @ problem.gram(x) @ grad_v
+    return grad_v, gamma_v, c
+
+
+def deflated_reduced_system(problem, x, indices):
+    """(M, b2) of the barrier rows ``indices`` with the CLF multiplier eliminated.
+
+    M = U_A^T P_V G U_A and b2 = U_A^T (gamma(V) G grad V / c - P_V f_nom)
+    - alpha_A, with P_V = I - G grad V grad V^T / c, built from the
+    certificates' own ``gradient`` and ``value``.
+    """
+    certs = problem.certificates
+    x = np.asarray(x, dtype=float)
+    grad_v, gamma_v, c = _clf_terms(problem, x)
+    G = problem.gram(x)
+    P_V = np.eye(problem.n) - np.outer(G @ grad_v, grad_v) / c
+    U_A = np.column_stack([certs.barrier(i).gradient(x) for i in indices])
+    alpha_A = np.array([certs.alphas[i - 1].value(certs.barrier(i).value(x))
+                        for i in indices])
+    f_nom = _eval_drift(problem.model, x) + problem.model.input_matrix @ problem.u_nom(x)
+    M = U_A.T @ P_V @ G @ U_A
+    b2 = U_A.T @ ((gamma_v / c) * (G @ grad_v) - P_V @ f_nom) - alpha_A
+    return 0.5 * (M + M.T), b2
+
+
 def verify_factorization(problem, x_e, lam, indices):
     """Residual of the congruence factorization of the deflated Jacobian.
 
@@ -54,24 +91,26 @@ def verify_factorization(problem, x_e, lam, indices):
     """
     indices = tuple(int(i) for i in indices)
     lam = np.asarray(lam, dtype=float).ravel()
-    d = _PointData(problem, x_e)
+    x_e = np.asarray(x_e, dtype=float).ravel()
     tol = problem.tolerances
-    n = d.x.shape[0]
-    if float(np.max(np.abs(d.gradV))) < 1e-12:
+    n = x_e.shape[0]
+    grad_v, gamma_v, c = _clf_terms(problem, x_e)
+    G = problem.gram(x_e)
+    if float(np.max(np.abs(grad_v))) < 1e-12:
         return None
-    g_sv = np.linalg.svd(d.G, compute_uv=False)
+    g_sv = np.linalg.svd(G, compute_uv=False)
     if g_sv[-1] <= tol.rank * max(1.0, float(g_sv[0])):
         return None
     p = problem.params.p
-    lambda0_e = p * d.gamma_val
+    lambda0_e = p * gamma_v
     gamma_slope = problem.certificates.gamma.gain
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
-    P_V = np.eye(n) - np.outer(d.G @ d.gradV, d.gradV) / d.c
-    lhs = P_V @ J_A - (gamma_slope / d.c) * np.outer(d.G @ d.gradV, d.gradV)
-    W = _orthogonal_complement_basis([d.G @ d.gradV])
-    B = np.column_stack([d.gradV, W])
-    D = np.diag(np.concatenate([[1.0 / (p * d.c)], np.ones(n - 1)]))
+    P_V = np.eye(n) - np.outer(G @ grad_v, grad_v) / c
+    lhs = P_V @ J_A - (gamma_slope / c) * np.outer(G @ grad_v, grad_v)
+    W = _orthogonal_complement_basis([G @ grad_v])
+    B = np.column_stack([grad_v, W])
+    D = np.diag(np.concatenate([[1.0 / (p * c)], np.ones(n - 1)]))
     rhs = np.linalg.solve(B.T, D @ B.T @ J_fA)
     return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))))
 

@@ -7,11 +7,13 @@ bundled deadlock scenario with a 100-step budget); the bundled-name
 resolution path is exercised by the search and audit subcommands, whose
 sample budgets are a few dozen states.
 """
+import numpy as np
 import pytest
 import yaml
 
 from clfcbf import AnalysisReport, load_bundled_scenario
-from clfcbf.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, _fmt_vec, main
+from clfcbf.cli import (
+    EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, _fmt_vec, _spectrum_entry, main)
 
 
 def _write(tmp_path, doc, name="case.scenario"):
@@ -333,3 +335,16 @@ def test_fmt_vec_never_prints_a_negative_zero():
         "( 0.0000000000,  0.0000000000,  0.0000000000,  0.0000000000)")
     assert _fmt_vec([-0.45, -0.0], 6) == "(-0.450000,  0.000000)"
     assert _fmt_vec([-4e-7, 4e-7], 6) == "( 0.000000,  0.000000)"
+
+
+def test_spectrum_entry_hides_the_noise_of_a_double_eigenvalue():
+    # fig1's {1, 2} side roots have the double eigenvalue -1, which rounding
+    # noise spells either as a complex pair 1e-15 apart or as two reals;
+    # both spellings, in any order, give the same report entry.
+    complex_pair = [-1.0000000000000009 + 4.2e-15j, -0.25 + 0.0j,
+                    -1.0000000000000009 - 4.2e-15j]
+    real_pair = [-0.25 - 0.0j, -1.0 - 0.0j, -0.9999999999999998 + 0.0j]
+    entry = _spectrum_entry(complex_pair)
+    assert entry == _spectrum_entry(real_pair) == [[-0.25, 0.0], [-1.0, 0.0], [-1.0, 0.0]]
+    assert not any(np.signbit(v) for pair in entry for v in pair[1:])
+    assert yaml.safe_dump(entry) == yaml.safe_dump(_spectrum_entry(real_pair))

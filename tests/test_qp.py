@@ -1,28 +1,33 @@
 """Pointwise QP solver, dual assembly, independent-oracle cross checks, and
 the dual-image feasibility certificate."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clfcbf import (
+    MODES,
     CertificateSet,
     ClassKappa,
     ControlProblem,
     ControllerParams,
     DynamicsModel,
     NominalController,
+    PreconditionError,
     QuadraticCertificate,
     Tolerances,
     check_feasibility_condition,
     closed_loop_field,
+    closed_loop_jacobian,
     oracle_solve,
     solve_pointwise,
 )
 from clfcbf.cli import _sample_safe_states
 from clfcbf.errors import DimensionMismatchError, InfeasibleQPError
-from clfcbf.qp import _deflation, _dual, _PointData
+from clfcbf.qp import _deflation, _PointData, _schur
 from clfcbf.systems import _eval_drift
+from oracles import deflated_reduced_system
 
 
 # --- dual assembly: hand-derived anchors ------------------------------------
@@ -31,7 +36,8 @@ from clfcbf.systems import _eval_drift
 def test_dual_assembly_onedim_filter(onedim_filter):
     # x = 1.5: U = grad h = 1, G = 1, safety filter so the CLF block is
     # c = 1/p = 1 and v = 0; F_h = grad h . f_nom + alpha(h) = -1.5 + 0.5.
-    A, b = _dual(_PointData(onedim_filter, np.array([1.5])))
+    d = _PointData(onedim_filter, np.array([1.5]))
+    A, b = d.A, d.b
     assert np.allclose(A, np.eye(2), atol=1e-14)
     assert np.allclose(b, [0.0, 1.0], atol=1e-14)
 
@@ -41,10 +47,11 @@ def test_dual_assembly_deadlock_point(deadlock2d):
     # v = U^T G gradV = (2,0).(3,0) = 6, U^T G U = 4,
     # F_V = gamma(V) = 4.5, F_h = alpha(h) = 0.
     x = np.array([3.0, 0.0])
-    A, b = _dual(_PointData(deadlock2d, x))
+    d = _PointData(deadlock2d, x)
+    A, b = d.A, d.b
     assert np.allclose(A, [[10.0, -6.0], [-6.0, 4.0]], atol=1e-12)
     assert np.allclose(b, [4.5, 0.0], atol=1e-12)
-    assert _PointData(deadlock2d, x).c == pytest.approx(10.0)
+    assert d.A[0, 0] == pytest.approx(10.0)
 
 
 def test_clf_gradient_deflation_hand_value(deadlock2d):
@@ -61,7 +68,7 @@ def test_deflation_annihilates_gram_weighted_gradient(fig1):
         x = rng.uniform(-2.0, 2.0, size=3)
         P_V = _deflation(_PointData(fig1, x))
         grad = fig1.certificates.clf.gradient(x)
-        c = _PointData(fig1, x).c
+        c = _PointData(fig1, x).A[0, 0]
         G = fig1.gram(x)
         lhs = grad @ P_V @ G @ grad
         q = grad @ G @ grad
@@ -164,6 +171,121 @@ def test_kkt_blocks_on_random_safe_states(name, request):
         assert np.max(np.abs(sol.lam * cbf_rows)) <= 1e-6
 
 
+# --- the dual (A, b) on every mode --------------------------------------------
+
+
+def _in_mode(problem, mode):
+    """``problem`` posed in ``mode``: the CLF dropped for the safety filter,
+    or V = |x|^2 added where there is none, and the nominal u = -[I 0] x
+    except in clf_cbf mode."""
+    certs = problem.certificates
+    n, m = problem.n, problem.model.m
+    if mode == "safety_filter":
+        certs = replace(certs, clf=None, gamma=None)
+    elif not certs.has_clf:
+        certs = replace(certs, clf=QuadraticCertificate.clf(np.eye(n), np.zeros(n)),
+                        gamma=ClassKappa(1.0))
+    nominal = (NominalController.zero(m) if mode == "clf_cbf"
+               else NominalController.linear_feedback(-np.eye(m, n)))
+    return replace(problem, certificates=certs,
+                   params=replace(problem.params, mode=mode, nominal=nominal))
+
+
+def _every_mode(request):
+    """(label, problem, box): the four scenarios and the 8-barrier ring, each
+    in all three modes."""
+    cases = []
+    for name in ("deadlock2d", "fig1", "filter2d", "dupcbf"):
+        scenario = request.getfixturevalue(f"{name}_scenario")
+        cases.append((name, scenario.problem(), scenario.search.box))
+    cases.append(("ring8", _ring_of_discs()[0], np.array([[-3.0, 3.0]] * 2)))
+    return [(f"{name} {mode}", _in_mode(problem, mode), box)
+            for name, problem, box in cases for mode in MODES]
+
+
+def test_row_values_are_A_l_minus_b(request):
+    # For any l >= 0, A l - b are the row values of the control
+    # u(l) = u_nom + H^{-1} g^T (-l_0 grad V + U l_1..N) and delta = l_0 / p,
+    # rebuilt from f + g u(l) like kkt_blocks does.
+    rng = np.random.default_rng(31)
+    for label, problem, box in _every_mode(request):
+        certs = problem.certificates
+        H, g, p = problem.params.cost_metric, problem.model.input_matrix, problem.params.p
+        for _ in range(10):
+            x = rng.uniform(box[:, 0], box[:, 1])
+            l = rng.uniform(0.0, 5.0, size=problem.n_barriers + 1)
+            grad_V = certs.clf.gradient(x) if certs.has_clf else np.zeros(problem.n)
+            U = certs.stacked_gradients(x)
+            u = problem.u_nom(x) + np.linalg.solve(H, g.T @ (-l[0] * grad_V + U @ l[1:]))
+            sol = SimpleNamespace(u_star=u, lambda0=l[0], lam=l[1:], delta_star=l[0] / p)
+            _, _, clf_row, cbf_rows = kkt_blocks(problem, x, sol)
+            d = _PointData(problem, x)
+            scale = max(1.0, np.max(np.abs(d.A @ l)), np.max(np.abs(d.b)))
+            rows = np.concatenate(([-clf_row], cbf_rows))
+            assert np.max(np.abs(d.A @ l - d.b - rows)) <= 1e-12 * scale, label
+
+
+def test_schur_complements_match_the_deflation_formulas(request):
+    # The Schur complement of A on row 0 is U^T P_V G U and its right-hand
+    # side U^T (gamma(V) G grad V / c - P_V f_nom) - alpha, over all barriers
+    # (the feasibility certificate) and over an active set (S_A).
+    rng = np.random.default_rng(32)
+    compared = 0
+    for label, problem, box in _every_mode(request):
+        N = problem.n_barriers
+        for _ in range(5):
+            x = rng.uniform(box[:, 0], box[:, 1])
+            d = _PointData(problem, x)
+            scale = max(1.0, np.max(np.abs(d.A)), np.max(np.abs(d.b)))
+            all_rows = tuple(range(1, N + 1))
+            for indices in sorted({all_rows, (1,), (N,), tuple(sorted({1, N}))}):
+                M, b2 = _schur(d, (0,) + indices)
+                M_ref, b2_ref = deflated_reduced_system(problem, x, indices)
+                assert np.max(np.abs(M - M_ref)) <= 1e-12 * scale, label
+                assert np.max(np.abs(b2 - b2_ref)) <= 1e-12 * scale, label
+                try:
+                    S_A = closed_loop_jacobian(problem, x, np.ones(len(indices)),
+                                               indices).S_A
+                except PreconditionError:
+                    continue
+                assert np.max(np.abs(S_A - M_ref)) <= 1e-12 * scale, label
+                compared += 1
+    assert compared >= 100
+
+
+def test_a_corrupted_dual_shows_in_the_kkt_residual(deadlock2d, monkeypatch):
+    # kkt_residual is measured on the primal rows of f + g u*, so a solve on
+    # a b that is off by 1e-3 in an active row cannot pass as a clean one.
+    import clfcbf.qp as qp
+
+    x = np.array([3.0, 0.0])
+    clean = solve_pointwise(deadlock2d, x)
+    assert clean.active_set == frozenset({0, 1})
+    assert clean.kkt_residual <= 1e-10
+
+    class CorruptedPointData(qp._PointData):
+        __slots__ = ()
+
+        def __init__(self, problem, x):
+            super().__init__(problem, x)
+            self.b[1] += 1e-3
+
+    monkeypatch.setattr(qp, "_PointData", CorruptedPointData)
+    corrupted = solve_pointwise(deadlock2d, x)
+    assert corrupted.active_set == clean.active_set
+    assert corrupted.kkt_residual >= 1e-3
+
+
+def test_safety_filter_clf_multiplier_is_positive_zero(filter2d_scenario):
+    problem = filter2d_scenario.problem()
+    states = _sample_safe_states(problem, filter2d_scenario.search.box, 100, seed=6)
+    for x in states:
+        for sol in (solve_pointwise(problem, x), oracle_solve(problem, x)):
+            assert sol.lambda0 == 0.0 and not np.signbit(sol.lambda0)
+            assert sol.delta_star == 0.0 and not np.signbit(sol.delta_star)
+            assert 0 in sol.active_set
+
+
 @pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d", "dupcbf"])
 def test_solver_agrees_with_dual_iteration_oracle(name, request):
     scenario = request.getfixturevalue(f"{name}_scenario")
@@ -223,9 +345,13 @@ def test_duplicate_barrier_degenerate_active_set(dupcbf):
     assert np.min(cbf_rows) >= -1e-8
 
 
-def test_infeasible_qp_raises():
-    # Input only drives x_1 while the barrier depends on x_2 alone, and the
-    # drift pushes h down: L_g h = 0 with dot h < -alpha(h) is infeasible.
+def _uncontrollable_barrier():
+    """Input only drives x_1 while the barrier depends on x_2 alone, and the
+    drift pushes h down: L_g h = 0 with dot h < -alpha(h) is infeasible.
+
+    h = x_2^2 - 1, dot h = -2 x_2^2: at x_2 = 1.2, dot h = -2.88 while
+    -alpha(h) = -0.44 and u cannot influence h.
+    """
     model = DynamicsModel.linear(
         drift_matrix=np.array([[0.0, 0.0], [0.0, -1.0]]),
         input_matrix=np.array([[1.0], [0.0]]),
@@ -249,10 +375,23 @@ def test_infeasible_qp_raises():
     problem = ControlProblem(
         model=model, certificates=certificates, params=params, tolerances=Tolerances()
     )
-    # h = x_2^2 - 1, dot h = -2 x_2^2: at x_2 = 1.2, dot h = -2.88 while
-    # -alpha(h) = -0.44 and u cannot influence h.
+    return problem, np.array([0.0, 1.2])
+
+
+def test_infeasible_qp_raises():
+    problem, x = _uncontrollable_barrier()
     with pytest.raises(InfeasibleQPError):
-        solve_pointwise(problem, np.array([0.0, 1.2]))
+        solve_pointwise(problem, x)
+
+
+def test_infeasible_solve_evaluates_the_state_once(assemblies):
+    # The certificate the error carries comes from the solver's own build.
+    problem, x = _uncontrollable_barrier()
+    with pytest.raises(InfeasibleQPError) as err:
+        solve_pointwise(problem, x)
+    assert assemblies == ["point"]
+    assert err.value.feasibility == check_feasibility_condition(problem, x)
+    assert not err.value.feasibility.holds
 
 
 def test_gain_width_is_checked_at_construction(filter2d):

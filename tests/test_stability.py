@@ -32,7 +32,7 @@ from clfcbf import (
     find_boundary_equilibria,
     spectrum_cross_check,
 )
-from clfcbf.qp import _dual, _PointData
+from clfcbf.qp import _PointData
 from clfcbf.stability import _orthogonal_complement_basis
 from clfcbf.systems import _finite_difference_jacobian
 from oracles import frozen_multiplier_jacobian, verify_factorization
@@ -47,17 +47,18 @@ def dual_block_inverse(problem, x, indices):
     through the Schur complement S_A as a rank-(r) correction of the
     leading 1/c entry.  Requires S_A invertible.
     """
-    d = _PointData(problem, x)
-    cols = [i - 1 for i in indices]
-    r = len(cols)
-    v = d.v_full[cols]
-    M_A = d.M_full[np.ix_(cols, cols)]
-    S_A = M_A - np.outer(v, v) / d.c
+    A = _PointData(problem, x).A
+    rows = list(indices)
+    r = len(rows)
+    c = A[0, 0]
+    v = -A[rows, 0]
+    M_A = A[np.ix_(rows, rows)]
+    S_A = M_A - np.outer(v, v) / c
     S_inv = np.linalg.inv(S_A)
-    border = np.vstack([v[None, :], d.c * np.eye(r)])
+    border = np.vstack([v[None, :], c * np.eye(r)])
     Ainv = np.zeros((r + 1, r + 1))
-    Ainv[0, 0] = 1.0 / d.c
-    return Ainv + (border @ S_inv @ border.T) / (d.c * d.c)
+    Ainv[0, 0] = 1.0 / c
+    return Ainv + (border @ S_inv @ border.T) / (c * c)
 
 
 def remark_difference_diagnostic(problem, x_e, lam, indices):
@@ -72,15 +73,16 @@ def remark_difference_diagnostic(problem, x_e, lam, indices):
     """
     indices = tuple(indices)
     lam = np.asarray(lam, dtype=float)
-    d = _PointData(problem, x_e)
+    certs = problem.certificates
     p = problem.params.p
-    lambda0_e = p * d.gamma_val
-    gamma_slope = problem.certificates.gamma.gain
+    gamma_slope = certs.gamma.gain
+    lambda0_e = p * (gamma_slope * certs.clf.value(x_e))
+    grad_v = certs.clf.gradient(x_e)
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     difference = J_A - J_fA
-    with_weight = p * gamma_slope * np.outer(d.G @ d.gradV, d.gradV)
-    without_weight = p * gamma_slope * np.outer(d.gradV, d.gradV)
+    with_weight = p * gamma_slope * np.outer(problem.gram(x_e) @ grad_v, grad_v)
+    without_weight = p * gamma_slope * np.outer(grad_v, grad_v)
     return {
         "difference": difference,
         "with_input_weight_residual": float(np.max(np.abs(difference - with_weight))),
@@ -192,7 +194,8 @@ def test_bundle_J_A_matches_the_per_certificate_reference(deadlock2d, fig1):
             indices = (1,) if problem.n == 2 else (1, 2)
             lam = rng.uniform(0.0, 3.0, size=len(indices))
             bundle = closed_loop_jacobian(problem, x, lam, indices)
-            lambda0_e = problem.params.p * _PointData(problem, x).gamma_val
+            certs = problem.certificates
+            lambda0_e = problem.params.p * (certs.gamma.gain * certs.clf.value(x))
             J_ref = frozen_multiplier_jacobian(problem, x, lambda0_e, lam, indices)
             scale = max(1.0, float(np.max(np.abs(J_ref))))
             assert np.max(np.abs(bundle.J_A - J_ref)) <= 1e-12 * scale
@@ -250,7 +253,7 @@ def test_dual_block_inverse_random_states(fig1):
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.uniform(-2.5, 2.5, size=3)
-        A, _ = _dual(_PointData(fig1, x))
+        A = _PointData(fig1, x).A
         for indices in ([1], [2], [1, 2]):
             sel = [0] + list(indices)
             A_sub = A[np.ix_(sel, sel)]

@@ -173,17 +173,28 @@ class ControlProblem:
         return self.params.nominal(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QpSolution:
     """Primal-dual solution of the pointwise program.
 
     ``active_set`` is a frozen subset of {0, 1, .., N}: 0 is the CLF row,
     i >= 1 is CBF i.  ``lam`` always has length N with zeros at inactive
     entries.  ``kkt_residual`` is the largest violation among stationarity,
-    primal feasibility, dual feasibility and complementary slackness.
-    ``xdot`` is the closed-loop field f + g u* at the solved state,
-    assembled from the multipliers l = (lambda0, lam) as f_nom + G D l in
-    the same pass that built the solution.
+    primal feasibility, dual feasibility and complementary slackness,
+    measured on the primal rows of f + g u*, not on A l - b, so it checks
+    the dual's screening independently.  ``xdot`` is the closed-loop field
+    f + g u* at the solved state, assembled from the multipliers
+    l = (lambda0, lam) as f_nom + G D l.
+
+    A solution is built with the field, delta* and the multipliers, and
+    keeps the state, l and the certificate table's row values there.
+    ``u_star``, ``kkt_residual`` and, without a winning row set,
+    ``active_set`` (the rows tight within the active tolerance, and row 0
+    always in safety-filter mode) are filled in on first read, the latter
+    two from the point assembled again at the state, bit for bit the
+    same.  So a caller that needs only the field and the active set (an
+    RK4 stage) pays neither for u* nor for the KKT audit, and a solution
+    holds no more than a few vectors.
     """
 
     u_star: np.ndarray
@@ -193,6 +204,52 @@ class QpSolution:
     active_set: FrozenSet[int]
     kkt_residual: float
     xdot: np.ndarray
+
+    def __init__(self, point, l, active=None):
+        problem = point.problem
+        Dl = point.D @ l
+        lambda0 = float(l[0])
+        # frozen: the fields are written past __setattr__, as dataclasses do
+        self.__dict__.update(
+            _problem=problem, _x=point.x.copy(), _values=point.values, _l=l,
+            _Dl=Dl, delta_star=lambda0 / problem.params.p, lambda0=lambda0,
+            lam=l[1:], xdot=point.f_nom + problem._input_maps[2] @ Dl)
+        if active is not None:
+            self.__dict__["active_set"] = frozenset(active)
+
+    def __getattr__(self, name):
+        # only reached for a field not yet filled in
+        if name == "u_star":
+            problem = self._problem
+            self.__dict__[name] = (problem.u_nom(self._x)
+                                   + problem._input_maps[1] @ self._Dl)
+        elif name in ("active_set", "kkt_residual"):
+            self._audit()
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def _audit(self):
+        """Fill in ``kkt_residual``, and ``active_set`` if still unset, from
+        the primal rows D^T (f + g u*) + s + delta* e_0."""
+        d = _PointData(self._problem, self._x)
+        g = d.problem._input_maps[0]
+        params = d.problem.params
+        l, u = self._l, self.u_star
+        rows = (d.f + g @ u) @ d.D + d.s
+        rows[0] += self.delta_star
+        # stationarity in u: H (u - u_nom) - g^T D l = 0
+        stationarity = params.cost_metric @ (u - d.u_nom) - self._Dl @ g
+        self.__dict__["kkt_residual"] = max(
+            float(abs(stationarity).max()),
+            abs(params.p * self.delta_star - self.lambda0),
+            float(max(0.0, -rows.min(), -l.min(), abs(l * rows).max())),
+        )
+        if "active_set" not in self.__dict__:
+            tight = np.abs(rows) <= d.problem.tolerances.active
+            if params.mode == "safety_filter":
+                tight[CLF_ROW] = True
+            self.__dict__["active_set"] = frozenset(np.flatnonzero(tight).tolist())
 
     @property
     def active_mask(self):
@@ -217,14 +274,15 @@ class FeasibilityReport:
 class _PointData:
     """The pointwise QP's dual at one state, computed once.
 
-    ``D`` (n, N+1) holds the row-signed gradients [-grad V | U] and ``s``
-    (N+1,) the signed margins (-gamma(V), alpha_1(h_1), ..), both from one
-    evaluation of all N+1 rows of the certificate table (row 0 the zero
-    quadric with gain 0 in safety-filter mode); ``A`` and ``b`` are the dual
-    matrices of the module docstring, indexed like the table.
+    ``values`` (N+1,) holds the raw table rows (V(x), h_1(x), ..), ``D``
+    (n, N+1) the row-signed gradients [-grad V | U] and ``s`` (N+1,) the
+    signed margins (-gamma(V), alpha_1(h_1), ..), all from one evaluation
+    of the N+1 rows of the certificate table (row 0 the zero quadric with
+    gain 0 in safety-filter mode); ``A`` and ``b`` are the dual matrices of
+    the module docstring, indexed like the table.
     """
 
-    __slots__ = ("problem", "x", "f", "u_nom", "f_nom", "D", "s", "A", "b")
+    __slots__ = ("problem", "x", "f", "u_nom", "f_nom", "values", "D", "s", "A", "b")
 
     def __init__(self, problem, x):
         certs = problem.certificates
@@ -239,52 +297,14 @@ class _PointData:
         self.f_nom = self.f + g @ self.u_nom
         values, grads = _quadrics(certs.row_shapes, certs.row_centers,
                                   certs.row_offsets, x[None])
-        self.s = s = certs.row_gains * values[0]
+        self.values = values = values[0]
+        self.s = s = certs.row_gains * values
         self.D = D = grads[0].T
         s[0] = -s[0]
         D[:, 0] = -D[:, 0]
         self.A = D.T @ (G @ D)
         self.A[0, 0] += 1.0 / problem.params.p
         self.b = -(self.f_nom @ D + s)
-
-    def solution(self, l, active=None):
-        """The :class:`QpSolution` of multipliers ``l`` >= 0 over all N+1 rows.
-
-        ``kkt_residual`` is measured on the primal rows of f + g u*, not on
-        A l - b, so it checks the dual's screening independently.  With
-        ``active`` omitted the report lists the rows tight within the
-        active tolerance, and row 0 always in safety-filter mode.
-        """
-        problem = self.problem
-        g, Hinv_gT, G = problem._input_maps
-        p = problem.params.p
-        Dl = self.D @ l
-        u = self.u_nom + Hinv_gT @ Dl
-        lambda0 = float(l[0])
-        delta = lambda0 / p
-        rows = (self.f + g @ u) @ self.D + self.s
-        rows[0] += delta
-        # stationarity in u: H (u - u_nom) - g^T D l = 0
-        stationarity = problem.params.cost_metric @ (u - self.u_nom) - Dl @ g
-        residual = max(
-            float(abs(stationarity).max()),
-            abs(p * delta - lambda0),
-            float(max(0.0, -rows.min(), -l.min(), abs(l * rows).max())),
-        )
-        if active is None:
-            tight = np.abs(rows) <= problem.tolerances.active
-            if problem.params.mode == "safety_filter":
-                tight[CLF_ROW] = True
-            active = np.flatnonzero(tight).tolist()
-        return QpSolution(
-            u_star=u,
-            delta_star=delta,
-            lambda0=lambda0,
-            lam=l[1:],
-            active_set=frozenset(active),
-            kkt_residual=residual,
-            xdot=self.f_nom + G @ Dl,
-        )
 
 
 def _deflation(d):
@@ -401,7 +421,7 @@ def solve_pointwise(problem, x, first_guess=None):
         # every row feasible, and the candidate's rows tight
         rows = A @ l - b
         if rows.min() >= -tol.active and (not R or abs(rows[R]).max() <= tol.active):
-            return d.solution(l, candidate)
+            return QpSolution(d, l, candidate)
     raise InfeasibleQPError(
         f"no KKT-consistent active set at x={d.x}; QP infeasible",
         x=d.x, feasibility=_feasibility(d))
@@ -424,7 +444,7 @@ def oracle_solve(problem, x, max_iter=200_000):
     if lipschitz <= 0.0:
         # A = 0 only when G = 0 and 1/p = 0, which parameters forbid; guard anyway
         if np.all(b <= tol):
-            return d.solution(np.zeros_like(b))
+            return QpSolution(d, np.zeros_like(b))
         raise OracleFailureError("dual has zero curvature but a positive gradient")
     step = 1.0 / lipschitz
     lam = np.zeros_like(b)
@@ -436,7 +456,7 @@ def oracle_solve(problem, x, max_iter=200_000):
         # natural residual at the new iterate
         residual = nxt - np.maximum(nxt - (A @ nxt - b), 0.0)
         if float(np.max(np.abs(residual))) <= tol:
-            return d.solution(nxt)
+            return QpSolution(d, nxt)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         direction = nxt - lam
         if float(grad @ direction) > 0.0:

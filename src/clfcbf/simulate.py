@@ -5,10 +5,15 @@ integrated with a fixed-step classical Runge-Kutta scheme whose every
 stage re-solves the QP at the stage state.  Fixed step keeps runs exactly
 reproducible; the step size is a scenario parameter.
 
-Each saved sample logs the full QP solution at that state (control,
-relaxation, multipliers, barrier values, CLF value and the active set as
-a bitmask with bit 0 = CLF row, bit i = CBF i), so a trajectory file is
-enough to audit complementarity and safety margins offline.
+A stage evaluates the certificate table once, at its state, and reads
+only the field f_nom + G D l and the active set (the next stage's warm
+start) off the QP solution there; u* and the KKT audit are not formed.
+Each saved sample (the first stage of a step) also logs the full QP
+solution at that state, read off the same multipliers and the same
+evaluation: control, relaxation, multipliers, barrier values, CLF value
+and the active set as a bitmask with bit 0 = CLF row, bit i = CBF i.  A
+trajectory file is thus enough to audit complementarity and safety
+margins offline.
 """
 
 import csv
@@ -102,8 +107,25 @@ class _Recorder:
             active_mask=np.array(mask, dtype=int), termination=termination)
 
 
+def _solve_sample(problem, x, guess):
+    """The QP solution at a saved sample, or None where the QP is infeasible."""
+    try:
+        return solve_pointwise(problem, x, first_guess=guess)
+    except InfeasibleQPError:
+        return None
+
+
 def integrate(problem, x0, dt=1e-3, t_final=20.0, target=None, target_tol=1e-3):
     """Run the closed loop from ``x0`` with fixed-step RK4.
+
+    Each of the four stages of a step solves the QP at its state,
+    warm-started with the previous stage's active set, and reads the field
+    f_nom + G D l and the active set off the solution.  Only the first
+    stage, at the saved sample x[k], also reads the recorded row off its
+    solution (u*, delta*, multipliers, active mask), and h and V off the
+    evaluation of the certificate table that solution was built from,
+    which at x0 also serves the safe-set check.  A run of n steps
+    therefore evaluates the table 4n + 1 times.
 
     Parameters
     ----------
@@ -138,8 +160,9 @@ def integrate(problem, x0, dt=1e-3, t_final=20.0, target=None, target_tol=1e-3):
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n_steps = int(round(t_final / dt))
-    certs = problem.certificates
-    h0 = certs.barrier_values(x)
+    solution = _solve_sample(problem, x, None)
+    h0 = (problem.certificates.barrier_values(x) if solution is None
+          else solution._values[1:])
     if float(h0.min()) < 0.0:
         warnings.warn(
             f"initial state is outside the safe set (min h = {h0.min():.6g}); "
@@ -149,14 +172,11 @@ def integrate(problem, x0, dt=1e-3, t_final=20.0, target=None, target_tol=1e-3):
     if target is not None:
         target = np.asarray(target, dtype=float).ravel()
 
-    guess = None
     for k in range(n_steps + 1):
         t = k * dt
-        try:
-            solution = solve_pointwise(problem, x, first_guess=guess)
-        except InfeasibleQPError:
+        if solution is None:
             return recorder.build(Termination(reason="qp_infeasible", time=t))
-        values = certs.values(x)
+        values = solution._values
         recorder.add(t, x, values[1:], values[0], solution)
         if target is not None:
             in_tol = in_tol + 1 if np.linalg.norm(x - target) <= target_tol else 0
@@ -188,6 +208,7 @@ def integrate(problem, x0, dt=1e-3, t_final=20.0, target=None, target_tol=1e-3):
             partial = recorder.build(Termination(reason="time_limit", time=t))
             raise IntegrationError(
                 f"state diverged at t = {t + dt:.6g}", partial_trajectory=partial)
+        solution = _solve_sample(problem, x, guess)
     return recorder.build(Termination(reason="time_limit", time=n_steps * dt))
 
 

@@ -181,6 +181,12 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
         If the active gradients are dependent, the input map has no
         authority on them, or the Schur complement is ill-conditioned.
     """
+    return _closed_loop_jacobian(problem, x_e, lam, indices)[0]
+
+
+def _closed_loop_jacobian(problem, x_e, lam, indices):
+    """(bundle, d): :func:`closed_loop_jacobian` and the point ``d`` it
+    assembled at x_e, whose columns ``d.D[:, indices]`` are U_A."""
     indices = _check_indices(indices, problem.n_barriers)
     lam = np.asarray(lam, dtype=float).ravel()
     d = _PointData(problem, x_e)
@@ -231,7 +237,7 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
 
     return JacobianBundle(
         J_A=J_A, J_fA=J_fA, S_A=S_A, P_V=P_V, P_UA=P_UA, J_fcl=J_fcl,
-        lambda_prime=lam_prime, cond_S_A=cond_S, cond_B_V=cond_B_V)
+        lambda_prime=lam_prime, cond_S_A=cond_S, cond_B_V=cond_B_V), d
 
 
 def _orthogonal_complement_basis(vectors):
@@ -302,7 +308,7 @@ def classify(problem, x_e, lam, indices):
     """
     indices = tuple(int(i) for i in indices)
     lam = np.asarray(lam, dtype=float).ravel()
-    bundle = closed_loop_jacobian(problem, x_e, lam, indices)
+    bundle, d = _closed_loop_jacobian(problem, x_e, lam, indices)
     spectrum = _sorted_eigenvalues(bundle.J_fcl)
     n = bundle.J_fcl.shape[0]
     r = len(indices)
@@ -310,8 +316,7 @@ def classify(problem, x_e, lam, indices):
     if r == n:
         return StabilityVerdict(
             verdict="stable", mu_max=-np.inf, witness=None, spectrum=spectrum)
-    U_A = problem.certificates.stacked_gradients(x_e, indices)
-    B = _orthogonal_complement_basis(U_A)
+    B = _orthogonal_complement_basis(d.D[:, indices])
     J_sym = 0.5 * (bundle.J_fA + bundle.J_fA.T)
     M = B.T @ J_sym @ B
     vals, vecs = np.linalg.eigh(M)

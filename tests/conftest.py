@@ -187,6 +187,30 @@ def assemblies(monkeypatch):
     return built
 
 
+@pytest.fixture
+def table_evaluations(monkeypatch):
+    """Record every evaluation of the certificate table: one entry per
+    ``certificates._quadrics`` call, the number of states it evaluated.
+
+    The counting wrapper replaces the function at every binding in the
+    package, like ``assemblies``."""
+    import clfcbf.certificates as certificates
+
+    calls = []
+    quadrics = certificates._quadrics
+
+    def counting_quadrics(shapes, centers, offsets, X):
+        calls.append(X.shape[0])
+        return quadrics(shapes, centers, offsets, X)
+
+    for modname, module in list(sys.modules.items()):
+        if modname != "clfcbf" and not modname.startswith("clfcbf."):
+            continue
+        if vars(module).get("_quadrics") is quadrics:
+            monkeypatch.setattr(module, "_quadrics", counting_quadrics)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")
     lines = getattr(mod, "SUMMARY", None) if mod else None

@@ -13,16 +13,24 @@ show that the lockstep run returns every seed's root bit for bit;
 ``multistart_interior_equilibria`` is the rejection-sampled multistart
 Newton search that the eigenvalue enumeration of
 ``find_interior_equilibria`` replaced, kept to show that the enumeration
-finds every root the multistart finds.
+finds every root the multistart finds; ``reference_integrate`` is the RK4
+loop as it stood before each sample read h and V off its own solve
+(``values`` per sample, every sample solved at the top of the loop), kept to show that every trajectory field is
+unchanged bit for bit.
 """
 import numpy as np
 
 from clfcbf import (
     InfeasibleQPError,
+    IntegrationError,
+    Termination,
+    Trajectory,
+    closed_loop_field,
     equilibrium_field,
     equilibrium_field_jacobian,
     solve_pointwise,
 )
+from clfcbf.simulate import BLOWUP_LIMIT, CONVERGENCE_WINDOW
 from clfcbf.stability import _orthogonal_complement_basis
 from clfcbf.systems import _eval_drift
 
@@ -238,3 +246,77 @@ def multistart_interior_equilibria(problem, config):
         kept.append(x_e)
     kept.sort(key=tuple)
     return kept
+
+
+def reference_integrate(problem, x0, dt=1e-3, t_final=20.0, target=None,
+                        target_tol=1e-3):
+    """Fixed-step RK4 of the closed loop from public calls: a
+    ``solve_pointwise`` per stage, warm-started with the previous stage's
+    active set, its ``closed_loop_field``, and ``certs.values`` per saved
+    sample.  Same arguments, outputs and terminations as ``integrate``."""
+    x = np.asarray(x0, dtype=float).ravel()
+    n_steps = int(round(t_final / dt))
+    certs = problem.certificates
+    rows = []
+
+    def build(reason, time):
+        n, m, N = problem.n, problem.model.m, problem.n_barriers
+        if not rows:
+            return Trajectory(
+                t=np.zeros(0), x=np.zeros((0, n)), u=np.zeros((0, m)),
+                delta=np.zeros(0), lambda0=np.zeros(0), lam=np.zeros((0, N)),
+                h=np.zeros((0, N)), V=np.zeros(0),
+                active_mask=np.zeros(0, dtype=int),
+                termination=Termination(reason=reason, time=time))
+        t, xs, u, delta, lambda0, lam, h, V, mask = zip(*rows)
+        return Trajectory(
+            t=np.array(t), x=np.array(xs), u=np.array(u), delta=np.array(delta),
+            lambda0=np.array(lambda0), lam=np.array(lam), h=np.array(h),
+            V=np.array(V), active_mask=np.array(mask, dtype=int),
+            termination=Termination(reason=reason, time=time))
+
+    in_tol = 0
+    if target is not None:
+        target = np.asarray(target, dtype=float).ravel()
+    guess = None
+    for k in range(n_steps + 1):
+        t = k * dt
+        try:
+            solution = solve_pointwise(problem, x, first_guess=guess)
+        except InfeasibleQPError:
+            return build("qp_infeasible", t)
+        values = certs.values(x)
+        rows.append((
+            float(t), np.array(x), np.array(solution.u_star),
+            float(solution.delta_star), float(solution.lambda0),
+            np.array(solution.lam), np.array(values[1:]), float(values[0]),
+            int(solution.active_mask)))
+        if target is not None:
+            in_tol = in_tol + 1 if np.linalg.norm(x - target) <= target_tol else 0
+            if in_tol >= CONVERGENCE_WINDOW:
+                return build("converged", t)
+        if k == n_steps:
+            break
+        try:
+            k1 = closed_loop_field(problem, x, solution=solution)
+            guess = solution.active_set
+            x2 = x + 0.5 * dt * k1
+            s2 = solve_pointwise(problem, x2, first_guess=guess)
+            k2 = closed_loop_field(problem, x2, solution=s2)
+            guess = s2.active_set
+            x3 = x + 0.5 * dt * k2
+            s3 = solve_pointwise(problem, x3, first_guess=guess)
+            k3 = closed_loop_field(problem, x3, solution=s3)
+            guess = s3.active_set
+            x4 = x + dt * k3
+            s4 = solve_pointwise(problem, x4, first_guess=guess)
+            k4 = closed_loop_field(problem, x4, solution=s4)
+            guess = s4.active_set
+        except InfeasibleQPError:
+            return build("qp_infeasible", t)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > BLOWUP_LIMIT:
+            raise IntegrationError(
+                f"state diverged at t = {t + dt:.6g}",
+                partial_trajectory=build("time_limit", t))
+    return build("time_limit", n_steps * dt)

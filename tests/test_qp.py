@@ -1,6 +1,6 @@
 """Pointwise QP solver, dual assembly, independent-oracle cross checks, and
 the dual-image feasibility certificate."""
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +15,7 @@ from clfcbf import (
     DynamicsModel,
     NominalController,
     PreconditionError,
+    QpSolution,
     QuadraticCertificate,
     Tolerances,
     check_feasibility_condition,
@@ -253,6 +254,33 @@ def test_schur_complements_match_the_deflation_formulas(request):
     assert compared >= 100
 
 
+def test_solution_fields_fill_on_first_read(deadlock2d):
+    # u* and the KKT audit are computed when first read and then kept, at
+    # the solved state even when the caller has since reused its state
+    # buffer; the solution stays a frozen dataclass with the same fields in
+    # the same order, for the direct solver and for the oracle alike.
+    names = ["u_star", "delta_star", "lambda0", "lam", "active_set",
+             "kkt_residual", "xdot"]
+    assert [f.name for f in fields(QpSolution)] == names
+    buffer = np.array([3.2, 0.3])
+    for solve in (solve_pointwise, oracle_solve):
+        ref = solve(deadlock2d, buffer.copy())
+        ref_fields = [ref.u_star.tobytes(), ref.kkt_residual, ref.active_set]
+        sol = solve(deadlock2d, buffer)
+        buffer[0] = 5.0
+        assert "u_star" not in vars(sol) and "kkt_residual" not in vars(sol)
+        u, residual = sol.u_star, sol.kkt_residual
+        assert [u.tobytes(), residual, sol.active_set] == ref_fields
+        assert sol.u_star is u and vars(sol)["kkt_residual"] == residual
+        assert residual <= 1e-7 and sol.active_set == frozenset({0, 1})
+        assert list(asdict(sol)) == names
+        with pytest.raises(FrozenInstanceError):
+            sol.u_star = u
+        with pytest.raises(AttributeError):
+            sol.missing
+        buffer[0] = 3.2
+
+
 def test_a_corrupted_dual_shows_in_the_kkt_residual(deadlock2d, monkeypatch):
     # kkt_residual is measured on the primal rows of f + g u*, so a solve on
     # a b that is off by 1e-3 in an active row cannot pass as a clean one.
@@ -449,10 +477,12 @@ def test_duplicate_barrier_rank_deficiency_reported(dupcbf):
 
 
 @pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d", "dupcbf"])
-def test_solution_carries_the_closed_loop_field(name, request):
+def test_solution_carries_the_closed_loop_field(name, request, assemblies,
+                                                table_evaluations):
     # xdot is assembled from the multipliers; it must equal f + g u*, from
     # the direct solver and from the oracle alike, and closed_loop_field
-    # must hand it back unchanged.
+    # must hand it back unchanged.  Without a solution the field is read
+    # off the dual at one build of the state, bit for bit the same.
     scenario = request.getfixturevalue(f"{name}_scenario")
     problem = scenario.problem()
     states = _sample_safe_states(problem, scenario.search.box, 30, seed=4)
@@ -463,8 +493,11 @@ def test_solution_carries_the_closed_loop_field(name, request):
             assert sol.xdot.shape == (problem.n,)
             assert np.max(np.abs(sol.xdot - (f + g @ sol.u_star))) <= 1e-8
             assert closed_loop_field(problem, x, solution=sol) is sol.xdot
-        assert np.array_equal(closed_loop_field(problem, x),
-                              solve_pointwise(problem, x).xdot)
+        assemblies.clear()
+        table_evaluations.clear()
+        field = closed_loop_field(problem, x)
+        assert assemblies == ["point"] and table_evaluations == [1]
+        assert field.tobytes() == solve_pointwise(problem, x).xdot.tobytes()
 
 
 def _ring_of_discs(n_barriers=8):

@@ -20,6 +20,7 @@ from clfcbf import (
     DynamicsModel,
     IntegrationError,
     NominalController,
+    QpSolution,
     QuadraticCertificate,
     Tolerances,
     integrate,
@@ -27,6 +28,7 @@ from clfcbf import (
     safety_margin,
     write_trajectory_csv,
 )
+from oracles import reference_integrate
 
 FIG1_TOP = np.array([0.0, 0.0, 3.3535533905932737])
 FIG1_POLE = np.array([-2.2629572862, 0.0, 3.2249830252])
@@ -55,6 +57,15 @@ def _uncontrollable_problem(alpha_gain):
             nominal=NominalController.zero(1)),
         tolerances=Tolerances(),
     )
+
+
+def _assert_same_run(run, ref):
+    """Every Trajectory field bit-identical, and the same termination."""
+    assert run.termination == ref.termination
+    for name in ("t", "x", "u", "delta", "lambda0", "lam", "h", "V", "active_mask"):
+        a, b = getattr(run, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # -- integrator accuracy -------------------------------------------------------
@@ -176,6 +187,9 @@ def test_divergence_raises_with_partial_trajectory():
     with pytest.raises(IntegrationError, match="diverged") as excinfo:
         integrate(problem, [-1.0, 0.0], dt=1e-2, t_final=20.0)
     partial = excinfo.value.partial_trajectory
+    with pytest.raises(IntegrationError, match="diverged") as excinfo:
+        reference_integrate(problem, [-1.0, 0.0], dt=1e-2, t_final=20.0)
+    _assert_same_run(partial, excinfo.value.partial_trajectory)
     assert partial.t.shape[0] > 1000
     assert np.all(np.isfinite(partial.x))
     # pure exponential until the blow-up guard: x(t) = -e^{2t} e_1
@@ -187,6 +201,8 @@ def test_infeasible_qp_truncates_the_run():
     crosses sqrt(2); the run stops there and reports it as an outcome."""
     problem = _uncontrollable_problem(alpha_gain=4.0)
     trajectory = integrate(problem, [0.0, 2.0], dt=1e-3, t_final=2.0)
+    _assert_same_run(trajectory,
+                     reference_integrate(problem, [0.0, 2.0], dt=1e-3, t_final=2.0))
     assert trajectory.termination.reason == "qp_infeasible"
     assert abs(trajectory.termination.time - np.log(np.sqrt(2.0))) < 2e-3
     assert trajectory.x[-1][1] == pytest.approx(np.sqrt(2.0), abs=2e-3)
@@ -198,6 +214,8 @@ def test_infeasible_at_start_yields_empty_run(tmp_path):
     but well shaped, and it survives the CSV round trip."""
     problem = _uncontrollable_problem(alpha_gain=4.0)
     trajectory = integrate(problem, [0.0, 1.1], dt=1e-3, t_final=1.0)
+    _assert_same_run(trajectory,
+                     reference_integrate(problem, [0.0, 1.1], dt=1e-3, t_final=1.0))
     assert trajectory.termination.reason == "qp_infeasible"
     assert trajectory.termination.time == 0.0
     assert trajectory.t.shape == (0,)
@@ -231,9 +249,53 @@ def test_trajectory_csv_round_trip_is_bit_exact(deadlock2d, tmp_path):
 
 
 @pytest.mark.parametrize("steps", [1, 5])
-def test_integrate_assembles_each_state_once(deadlock2d, assemblies, steps):
+def test_integrate_assembles_each_state_once(deadlock2d, assemblies,
+                                             table_evaluations, steps):
     # Four RK4 stage states per step plus the final sample: each is
-    # assembled once, by its solve; the closed-loop field rides along.
+    # assembled once, by its solve, and that one evaluation of the table
+    # also serves the safe-set check at x0 and every recorded h and V.
     run = integrate(deadlock2d, np.array([4.0, 0.3]), dt=0.01, t_final=0.01 * steps)
     assert run.t.shape == (steps + 1,)
     assert len(assemblies) == 4 * steps + 1
+    assert table_evaluations == [1] * (4 * steps + 1)
+
+
+def test_integrate_reads_only_the_field_at_stages(deadlock2d, monkeypatch):
+    # Stage solutions give their field and active set; u* is filled in only
+    # at the recorded samples, and the primal KKT audit never runs.
+    filled = []
+    fill = QpSolution.__getattr__
+
+    def counting_fill(solution, name):
+        filled.append(name)
+        return fill(solution, name)
+
+    monkeypatch.setattr(QpSolution, "__getattr__", counting_fill)
+    run = integrate(deadlock2d, np.array([4.0, 0.3]), dt=0.01, t_final=0.05)
+    assert run.t.shape == (6,)
+    assert filled == ["u_star"] * 6
+
+
+# -- bit identity with the public-call reference -------------------------------
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("deadlock2d", "time_limit"),
+    ("fig1", "converged"),
+    ("filter2d", "converged"),
+])
+def test_integrate_matches_the_public_reference_bit_for_bit(name, reason, request):
+    # Every bundled start at dt = 0.01: reading h and V off each sample's
+    # own solve reproduces the loop that evaluated certs.values per sample,
+    # across active-set switches and in both modes.
+    scenario = request.getfixturevalue(f"{name}_scenario")
+    problem = scenario.problem()
+    masks = set()
+    for x0 in scenario.initial_states:
+        kwargs = dict(dt=0.01, t_final=scenario.t_final, target=scenario.target,
+                      target_tol=scenario.target_tol)
+        run = integrate(problem, x0, **kwargs)
+        assert run.termination.reason == reason
+        masks.update(run.active_mask.tolist())
+        _assert_same_run(run, reference_integrate(problem, x0, **kwargs))
+    assert len(masks) >= 2

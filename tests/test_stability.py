@@ -151,11 +151,13 @@ def test_deadlock_classification_and_cross_check(deadlock2d):
     ("deadlock2d", X_DEADLOCK, [6.75], [1]),
     ("fig1", np.array([0.0, 1.0, 3.0]), [1.0, 1.0], [1, 2]),
 ])
-def test_classify_evaluates_the_state_once(name, x, lam, indices, request, assemblies):
-    # One QP-layer build feeds closed_loop_jacobian; the equilibrium-field
-    # Jacobian is the batched evaluator's stack of one.
+def test_classify_evaluates_the_state_once(name, x, lam, indices, request, assemblies,
+                                           table_evaluations):
+    # One QP-layer build feeds closed_loop_jacobian and the tangent basis;
+    # the equilibrium-field Jacobian is the batched evaluator's stack of one.
     classify(request.getfixturevalue(name), x, lam, indices)
     assert assemblies == ["point", "batch"]
+    assert table_evaluations == [1, 1]
 
 
 def test_left_eigenvector_of_closed_loop(deadlock2d):

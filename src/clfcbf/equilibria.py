@@ -17,11 +17,11 @@ actual QP solution at the root (:func:`validate_equilibrium`).
 interior root from one eigenvalue problem and polishes each by Newton.
 
 Both searches run Newton in lockstep (:func:`_newton`): all seeds advance
-together on one stacked evaluation of the system and one stacked linear
-solve per iteration, while each seed keeps its own residual, step and
-step halvings.  The evaluation computes every row exactly as it would
-alone, so a seed's root is the same bit for bit as from a Newton run on
-that seed by itself.
+together on one stacked linear solve per iteration, with the full steps
+in one stacked evaluation of the system and every remaining halving in a
+second, while each seed keeps its own residual, step and step halvings.
+The evaluation computes every row exactly as it would alone, so a seed's
+root is the same bit for bit as from a Newton run on that seed by itself.
 """
 
 from dataclasses import dataclass, replace
@@ -178,26 +178,34 @@ def _solve_stack(J, b):
         return out
 
 
+def _residuals(F):
+    """max |F[k]| of each row, inf for a row with a non-finite value."""
+    return np.where(np.all(np.isfinite(F), axis=1), np.max(np.abs(F), axis=1), np.inf)
+
+
 def _newton(system, Z0, tol_res, tol_step, max_iter, max_halvings):
     """Damped Newton from every row of Z0 in lockstep; one root or None per row.
 
     ``system(Z)`` evaluates a stack of points once and returns their values
     and Jacobians, row k bit for bit as for a stack of one.  Each row keeps
     its own residual, step and step halvings: it takes the full Newton
-    step, or halves it until the residual decreases (or meets
-    ``tol_res``), and fails after ``max_halvings`` halvings, on a
-    non-finite value or step, or after ``max_iter`` steps.  It converges
-    once the residual meets ``tol_res`` and the step ``tol_step`` relative
-    to max(1, |z|).  Every running row's step comes from one stacked solve
-    and the trial points of the rows still halving are evaluated as one
-    stack, so each row returns exactly what a Newton run from it alone
-    would.
+    step, or else the first of the steps halved 1 .. ``max_halvings``
+    times whose residual decreases (or meets ``tol_res``), and fails when
+    none does, on a non-finite value or step, or after ``max_iter`` steps.
+    It converges once the residual meets ``tol_res`` and the step
+    ``tol_step`` relative to max(1, |z|).  Every running row's step comes
+    from one stacked solve.  The full steps are in one stacked evaluation,
+    and every remaining halving of the rows that reject them in a second,
+    a (rows x ``max_halvings``) stack.  The scales are exact powers of
+    two, so each row returns exactly what a Newton run from it alone,
+    halving one step at a time, would.
     """
     Z = np.array(Z0, dtype=float)
     F, J = system(Z)
-    res = np.max(np.abs(F), axis=1)
-    running = np.all(np.isfinite(F), axis=1)
+    res = _residuals(F)
+    running = np.isfinite(res)
     roots = [None] * Z.shape[0]
+    scales = np.ldexp(1.0, -np.arange(1, max_halvings + 1))
     for _ in range(max_iter):
         rows = np.flatnonzero(running)
         if not rows.size:
@@ -207,24 +215,30 @@ def _newton(system, Z0, tol_res, tol_step, max_iter, max_halvings):
         running[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
         scale = np.ones(rows.size)
-        halving = np.arange(rows.size)
-        for _ in range(max_halvings + 1):
-            trial = Z[rows[halving]] + scale[halving, None] * step[halving]
-            F_new, J_new = system(trial)
-            res_new = np.where(np.all(np.isfinite(F_new), axis=1),
-                               np.max(np.abs(F_new), axis=1), np.inf)
-            accept = (res_new < res[rows[halving]]) | (res_new <= tol_res)
-            taken = rows[halving[accept]]
-            Z[taken], F[taken], J[taken] = trial[accept], F_new[accept], J_new[accept]
-            res[taken] = res_new[accept]
-            halving = halving[~accept]
-            if not halving.size:
-                break
-            scale[halving] *= 0.5
-        running[rows[halving]] = False
-        moved = np.ones(rows.size, dtype=bool)
-        moved[halving] = False
-        rows, step, scale = rows[moved], step[moved], scale[moved]
+        trial = Z[rows] + step
+        F_new, J_new = system(trial)
+        res_new = _residuals(F_new)
+        accept = (res_new < res[rows]) | (res_new <= tol_res)
+        halving = np.flatnonzero(~accept)
+        if halving.size and scales.size:
+            # (row, scale) pairs in row-major order, one stack for all
+            halved = (Z[rows[halving], None] + scales[:, None]
+                      * step[halving, None]).reshape(-1, Z.shape[1])
+            F_half, J_half = system(halved)
+            res_half = _residuals(F_half).reshape(halving.size, scales.size)
+            ok = (res_half < res[rows[halving], None]) | (res_half <= tol_res)
+            took = np.flatnonzero(ok.any(axis=1))
+            first = np.argmax(ok[took], axis=1)
+            pick = took * scales.size + first
+            halving = halving[took]
+            trial[halving], F_new[halving], J_new[halving] = \
+                halved[pick], F_half[pick], J_half[pick]
+            res_new[halving], scale[halving] = res_half[took, first], scales[first]
+            accept[halving] = True
+        running[rows[~accept]] = False
+        rows, step, scale = rows[accept], step[accept], scale[accept]
+        Z[rows], F[rows], J[rows], res[rows] = \
+            trial[accept], F_new[accept], J_new[accept], res_new[accept]
         step_inf = np.max(np.abs(scale[:, None] * step), axis=1)
         done = (res[rows] <= tol_res) & (
             step_inf <= tol_step * np.maximum(1.0, np.max(np.abs(Z[rows]), axis=1)))
@@ -302,9 +316,10 @@ def find_boundary_equilibria(problem, indices, config):
     boundary and, when |A| > 1, projected onto the others.  Each seed
     starts Newton on the augmented system [f_A; h_A] from a nonnegative
     least-squares multiplier estimate.  All seeds advance together: one
-    stacked evaluation and one stacked solve per Newton iteration, yet
-    every seed takes exactly the steps it would take alone, so the roots
-    do not depend on how many seeds share the search.
+    stacked solve per Newton iteration, the full steps in one stacked
+    evaluation and every remaining halving in a second, yet every seed
+    takes exactly the steps it would take alone, so the roots do not
+    depend on how many seeds share the search.
 
     Parameters
     ----------
@@ -389,7 +404,7 @@ def validate_equilibrium(problem, report):
         sol = solve_pointwise(problem, x_e)
     except InfeasibleQPError as err:
         return replace(report, validated=False, failure_reason=str(err))
-    h = problem.certificates.barrier_values(x_e)
+    h = sol._values[1:]
     inactive = [j for j in range(1, problem.n_barriers + 1) if j not in report.indices]
     if any(h[j - 1] < -tol.active for j in inactive):
         reason = "root lies outside the safe set (inactive barrier negative)"
@@ -533,11 +548,11 @@ def _interior_candidates(problem):
     tol = problem.tolerances
     certs = problem.certificates
     n = problem.n
-    F = problem.f_nom_jacobian(np.zeros(n))
+    F = problem.f_nom_jacobian()
     B = np.zeros((n, n))
     if certs.has_clf:
         Q, c = certs.clf.shape, certs.clf.center
-        G = problem.gram(c)
+        G = problem.gram()
         B = G @ Q
     sv = np.linalg.svd(np.hstack([F, B]), compute_uv=False)
     rank = int(np.sum(sv > tol.rank * max(1.0, float(sv[0]))))

@@ -151,8 +151,8 @@ class ControlProblem:
         G = g @ Hinv_gT
         return g, Hinv_gT, 0.5 * (G + G.T)
 
-    def gram(self, x):
-        """Symmetrized g H^{-1} g^T at x."""
+    def gram(self):
+        """Symmetrized g H^{-1} g^T; the input map is constant."""
         return self._input_maps[2]
 
     def f_nom(self, x):
@@ -160,7 +160,7 @@ class ControlProblem:
         x = _as_state(x, self.n)
         return _eval_drift(self.model, x) + self.model.input_matrix @ self.u_nom(x)
 
-    def f_nom_jacobian(self, x):
+    def f_nom_jacobian(self):
         """State Jacobian of the nominal field: the constant A + g K."""
         J = np.zeros((self.n, self.n))
         if self.model.drift_matrix is not None:
@@ -315,7 +315,7 @@ def _deflation(d):
     or the CLF center).
     """
     D0 = d.D[:, 0]
-    return np.eye(D0.shape[0]) - np.outer(d.problem.gram(None) @ D0, D0) / d.A[0, 0]
+    return np.eye(D0.shape[0]) - np.outer(d.problem.gram() @ D0, D0) / d.A[0, 0]
 
 
 def _schur(d, rows):

@@ -103,9 +103,9 @@ class _EquilibriumSystem:
         certs = problem.certificates
         rows = [0, *_check_indices(indices, certs.n_barriers)]
         n = problem.n
-        G = problem.gram(None)
+        G = problem.gram()
         self.n, self.r, self.p = n, len(rows) - 1, problem.params.p
-        self.F, self.G = problem.f_nom_jacobian(None), G
+        self.F, self.G = problem.f_nom_jacobian(), G
         self.shapes = certs.row_shapes[rows]
         self.centers = certs.row_centers[rows]
         self.offsets = certs.row_offsets[rows]
@@ -203,7 +203,7 @@ def _closed_loop_jacobian(problem, x_e, lam, indices):
     if float(np.max(np.abs(U_A.T @ problem.model.input_matrix))) < 1e-14:
         raise PreconditionError("input map has no authority on the active gradients")
 
-    G = problem.gram(None)
+    G = problem.gram()
     gradV = -d.D[:, 0]
     lambda0_e = -problem.params.p * d.s[0]
     P_V = _deflation(d)

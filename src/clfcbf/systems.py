@@ -131,7 +131,8 @@ def _finite_difference_jacobian(fn, x, h=None):
     """Central-difference Jacobian of ``fn`` at ``x``.
 
     The independent reference against which the analytic Jacobians are
-    checked.
+    checked.  ``fn`` is called 2n times, at the probes only: central
+    differences never read the value at ``x``.
 
     Parameters
     ----------
@@ -148,8 +149,7 @@ def _finite_difference_jacobian(fn, x, h=None):
     x = np.asarray(x, dtype=float).ravel()
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    f0 = np.asarray(fn(x), dtype=float).ravel()
-    J = np.empty((f0.shape[0], x.shape[0]))
+    cols = []
     for j in range(x.shape[0]):
         step = np.zeros_like(x)
         step[j] = h
@@ -159,5 +159,5 @@ def _finite_difference_jacobian(fn, x, h=None):
         if not np.all(np.isfinite(col)):
             raise NumericalError(
                 f"non-finite finite-difference column for coordinate {j} at x={x}")
-        J[:, j] = col
-    return J
+        cols.append(col)
+    return np.column_stack(cols)

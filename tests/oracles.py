@@ -42,8 +42,8 @@ def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
     ``lam`` is a float vector and ``indices`` a tuple of ints.
     """
     certs = problem.certificates
-    G = problem.gram(x)
-    J = problem.f_nom_jacobian(x)
+    G = problem.gram()
+    J = problem.f_nom_jacobian()
     if lambda0 != 0.0:
         J = J - lambda0 * (G @ certs.clf.hessian())
     for k, i in enumerate(indices):
@@ -62,7 +62,7 @@ def _clf_terms(problem, x):
     else:
         grad_v = certs.clf.gradient(x)
         gamma_v = certs.gamma.gain * certs.clf.value(x)
-    c = 1.0 / problem.params.p + grad_v @ problem.gram(x) @ grad_v
+    c = 1.0 / problem.params.p + grad_v @ problem.gram() @ grad_v
     return grad_v, gamma_v, c
 
 
@@ -76,7 +76,7 @@ def deflated_reduced_system(problem, x, indices):
     certs = problem.certificates
     x = np.asarray(x, dtype=float)
     grad_v, gamma_v, c = _clf_terms(problem, x)
-    G = problem.gram(x)
+    G = problem.gram()
     P_V = np.eye(problem.n) - np.outer(G @ grad_v, grad_v) / c
     U_A = np.column_stack([certs.barrier(i).gradient(x) for i in indices])
     alpha_A = np.array([certs.alphas[i - 1].value(certs.barrier(i).value(x))
@@ -103,7 +103,7 @@ def verify_factorization(problem, x_e, lam, indices):
     tol = problem.tolerances
     n = x_e.shape[0]
     grad_v, gamma_v, c = _clf_terms(problem, x_e)
-    G = problem.gram(x_e)
+    G = problem.gram()
     if float(np.max(np.abs(grad_v))) < 1e-12:
         return None
     g_sv = np.linalg.svd(G, compute_uv=False)
@@ -183,7 +183,7 @@ def public_system(problem, indices):
                 else np.zeros((n, 0))
             return np.block([
                 [equilibrium_field_jacobian(problem, x, lam, indices),
-                 problem.gram(x) @ U_A],
+                 problem.gram() @ U_A],
                 [U_A.T, np.zeros((r, r))]])
 
         return F, jacobian

@@ -65,7 +65,7 @@ def boundary_residual_scan(problem, points, indices):
     column-wise by 1-D least squares, returning the best (point, residual)."""
     best = (None, np.inf, None)
     for x in points:
-        G = problem.gram(x)
+        G = problem.gram()
         certs = problem.certificates
         target = (
             problem.params.p
@@ -382,6 +382,17 @@ def test_validation_rejects_shifted_point(deadlock2d):
     assert out.failure_reason
 
 
+def test_validation_evaluates_the_state_once(deadlock2d, assemblies, table_evaluations):
+    # The barrier values come off the validating solve's own table evaluation.
+    rep = EquilibriumReport(
+        x_e=np.array([3.0, 0.0]), kind="boundary", indices=(1,),
+        lambda_e=np.array([6.75]), lambda0_e=4.5, residual_field=0.0,
+        residual_boundary=0.0)
+    assert validate_equilibrium(deadlock2d, rep).validated
+    assert assemblies == ["point"]
+    assert table_evaluations == [1]
+
+
 def test_duplicate_barrier_equilibrium_validates_under_first_index(dupcbf, dupcbf_scenario):
     # The two barriers share the boundary point (3,0).  The QP reports the
     # first row active, so only the A={1} report validates; the A={1,2}
@@ -527,14 +538,101 @@ def test_lockstep_newton_matches_the_reference_seed_by_seed(monkeypatch):
     assert all(count >= 3 for count in outcomes.values()), sorted(outcomes.items())
 
 
+def _count_solves(monkeypatch):
+    """Count the stacked linear solves, one per lockstep Newton iteration."""
+    solves = []
+    solve_stack = equilibria._solve_stack
+
+    def counted(J, b):
+        solves.append(J.shape[0])
+        return solve_stack(J, b)
+
+    monkeypatch.setattr(equilibria, "_solve_stack", counted)
+    return solves
+
+
+def _traced(system):
+    """Wrap a reference-Newton system: the list it returns gets one entry
+    per iteration, the number of trial points that iteration evaluated."""
+    trials = []
+
+    def wrapped(z):
+        F, jacobian = system(z)
+        if trials:
+            trials[-1] += 1
+
+        def counted_jacobian():
+            trials.append(0)
+            return jacobian()
+
+        return F, counted_jacobian
+
+    return wrapped, trials
+
+
+@pytest.mark.parametrize("name, indices", [
+    ("fig1", (1,)), ("fig1", (2,)), ("deadlock2d", (1,)), ("fig1", ())])
+def test_newton_evaluates_at_most_twice_per_iteration(
+        name, indices, request, monkeypatch):
+    # The full steps in one stacked evaluation, every remaining halving in
+    # a second: never a third, however many halvings a row needs.
+    problem = request.getfixturevalue(name)
+    config = request.getfixturevalue(f"{name}_scenario").search
+    seen = _watch_newton(monkeypatch, [])
+    solves = _count_solves(monkeypatch)
+    if indices:
+        find_boundary_equilibria(problem, indices, config)
+    else:
+        find_interior_equilibria(problem, config)
+    assert len(seen["runs"]) == 1 and solves
+    assert seen["system"] <= 1 + 2 * len(solves)
+    if indices:
+        # some iteration halved, at the price of one evaluation
+        assert seen["system"] > 1 + len(solves)
+
+
+@pytest.mark.parametrize("max_halvings", [8, 0])
+def test_halving_stack_matches_the_reference_halving_one_at_a_time(
+        fig1, fig1_scenario, monkeypatch, max_halvings):
+    # fig1 {1} from the bundled seeds: some seeds accept a step only at a
+    # scale <= 1/4, some reject every scale and stop.  Each seed, run alone
+    # through the reference Newton that halves one step at a time, gives
+    # the lockstep root bit for bit, or the same failure.
+    seen = _watch_newton(monkeypatch, [])
+    solves = _count_solves(monkeypatch)
+    config = replace(fig1_scenario.search, max_halvings=max_halvings)
+    find_boundary_equilibria(fig1, (1,), config)
+    (_, Z0, args, roots), = seen["runs"]
+    assert args[-1] == max_halvings
+    deep = exhausted = converged = 0
+    for z0, root in zip(Z0, roots):
+        system, trials = _traced(public_system(fig1, (1,)))
+        expected = newton(system, z0, *args)
+        if expected is None:
+            assert root is None
+        else:
+            assert np.array_equal(root, expected)
+        # every iteration but a failed run's last accepted a trial
+        accepted = trials if expected is not None else trials[:-1]
+        deep += any(count >= 3 for count in accepted)
+        exhausted += expected is None and trials[-1:] == [max_halvings + 1]
+        converged += expected is not None
+    assert converged and exhausted and bool(deep) == bool(max_halvings)
+    if not max_halvings:
+        # nothing to halve: one evaluation per iteration
+        assert seen["system"] == 1 + len(solves)
+
+
 @pytest.mark.parametrize("name, indices", [("fig1", (1, 2)), ("deadlock2d", (1,)),
                                            ("filter2d", ())])
 def test_batch_rows_equal_batches_of_one(name, indices, request):
+    # up to K = 512, the largest halving stack of a 64-seed search
+    # (64 rows x 8 halvings)
     problem = request.getfixturevalue(name)
     system = stability._EquilibriumSystem(problem, indices)
     rng = np.random.default_rng(5)
-    Z = rng.uniform(-4.0, 4.0, (64, problem.n + len(indices)))
-    for K in (1, 7, 64):
+    Z = rng.uniform(-4.0, 4.0, (512, problem.n + len(indices)))
+    for K in (1, 7, 64, 512):
         F, J = system(Z[:K])
         for k in range(K):
             F1, J1 = system(Z[k:k + 1])

@@ -70,7 +70,7 @@ def test_deflation_annihilates_gram_weighted_gradient(fig1):
         P_V = _deflation(_PointData(fig1, x))
         grad = fig1.certificates.clf.gradient(x)
         c = _PointData(fig1, x).A[0, 0]
-        G = fig1.gram(x)
+        G = fig1.gram()
         lhs = grad @ P_V @ G @ grad
         q = grad @ G @ grad
         assert lhs == pytest.approx(q * (1.0 - q / c), rel=1e-10, abs=1e-12)

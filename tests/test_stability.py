@@ -81,7 +81,7 @@ def remark_difference_diagnostic(problem, x_e, lam, indices):
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
     difference = J_A - J_fA
-    with_weight = p * gamma_slope * np.outer(problem.gram(x_e) @ grad_v, grad_v)
+    with_weight = p * gamma_slope * np.outer(problem.gram() @ grad_v, grad_v)
     without_weight = p * gamma_slope * np.outer(grad_v, grad_v)
     return {
         "difference": difference,
@@ -96,7 +96,7 @@ def _frozen_field(problem, lambda0, lam, indices):
     certs = problem.certificates
 
     def field(x):
-        G = problem.gram(x)
+        G = problem.gram()
         out = problem.f_nom(x) - lambda0 * (G @ certs.clf.gradient(x))
         for k, i in enumerate(indices):
             out = out + lam[k] * (G @ certs.barrier(i).gradient(x))
@@ -237,7 +237,7 @@ def test_jacobian_difference_is_rank_one(deadlock2d, fig1):
     certs = fig1.certificates
     grad_v = certs.clf.gradient(x_far)
     slope = certs.gamma.gain
-    expected = fig1.params.p * slope * np.outer(fig1.gram(x_far) @ grad_v, grad_v)
+    expected = fig1.params.p * slope * np.outer(fig1.gram() @ grad_v, grad_v)
     assert np.allclose(diag["difference"], expected, atol=1e-8)
 
 

@@ -47,7 +47,7 @@ def test_linear_model_drift():
     model = DynamicsModel.linear(drift_matrix=A, input_matrix=np.eye(2))
     x = np.array([2.0, -3.0])
     assert np.allclose(_problem(model).f_nom(x), A @ x)
-    assert np.array_equal(_problem(model).f_nom_jacobian(x), A)
+    assert np.array_equal(_problem(model).f_nom_jacobian(), A)
 
 
 def test_input_matrix_is_required():
@@ -58,7 +58,7 @@ def test_input_matrix_is_required():
 def test_gram_matrix_constant_input_map():
     # g0 g0^T for the non-diagonal 3-D input map, element-wise oracle.
     model = DynamicsModel.driftless(input_matrix=G0)
-    G = _problem(model).gram(np.zeros(3))
+    G = _problem(model).gram()
     expected = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
@@ -70,8 +70,8 @@ def test_gram_matrix_constant_input_map():
 def test_gram_matrix_respects_cost_metric():
     # G = g H^{-1} g^T: with H = 4 I the Gram matrix scales by 1/4.
     model = DynamicsModel.driftless(input_matrix=G0)
-    G_unit = _problem(model).gram(np.zeros(3))
-    G_scaled = _problem(model, cost_metric=4.0 * np.eye(3)).gram(np.zeros(3))
+    G_unit = _problem(model).gram()
+    G_scaled = _problem(model, cost_metric=4.0 * np.eye(3)).gram()
     assert np.allclose(G_scaled, G_unit / 4.0, atol=1e-14)
 
 
@@ -84,7 +84,7 @@ def test_gram_matrix_is_symmetric_psd_random_maps():
         B = rng.standard_normal((m, m))
         H = B @ B.T + m * np.eye(m)
         model = DynamicsModel.driftless(input_matrix=g)
-        G = _problem(model, cost_metric=H).gram(np.zeros(n))
+        G = _problem(model, cost_metric=H).gram()
         assert np.allclose(G, G.T, atol=1e-12)
         assert np.linalg.eigvalsh(G).min() >= -1e-12
 
@@ -98,7 +98,7 @@ def test_nominal_zero_and_linear_feedback():
     y = np.array([3.0, -1.0])
     assert np.allclose(fb(y), K @ y)
     problem = _problem(DynamicsModel.driftless(input_matrix=np.eye(2)), fb)
-    assert np.allclose(problem.f_nom_jacobian(y), K)
+    assert np.allclose(problem.f_nom_jacobian(), K)
 
 
 def test_f_nom_and_jacobian_linear_case():
@@ -109,7 +109,7 @@ def test_f_nom_and_jacobian_linear_case():
     x = np.array([4.0, 0.5])
     f = problem.f_nom(x)
     assert np.allclose(f, -x)
-    J = problem.f_nom_jacobian(x)
+    J = problem.f_nom_jacobian()
     J_fd = _finite_difference_jacobian(problem.f_nom, x)
     assert np.allclose(J, -np.eye(2), atol=1e-12)
     assert np.allclose(J, J_fd, atol=1e-6)
@@ -134,6 +134,23 @@ def test_finite_difference_jacobian_random_linear_maps():
         x = rng.standard_normal(n)
         J = _finite_difference_jacobian(lambda z: A @ z, x)
         assert np.allclose(J, A, atol=1e-7)
+
+
+def test_finite_difference_jacobian_calls_fn_at_the_probes_only():
+    # Central differences read fn at x +- h e_j only: 2n calls, none at x.
+    A = np.arange(12.0).reshape(4, 3)
+    x = np.array([0.5, -1.0, 2.0])
+    probes = []
+
+    def fn(z):
+        probes.append(z.copy())
+        return A @ z
+
+    J = _finite_difference_jacobian(fn, x)
+    assert J.shape == (4, 3)
+    assert np.allclose(J, A, atol=1e-7)
+    assert len(probes) == 2 * x.size
+    assert not any(np.array_equal(z, x) for z in probes)
 
 
 def test_finite_difference_jacobian_rejects_nonfinite():

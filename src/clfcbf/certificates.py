@@ -217,13 +217,3 @@ class CertificateSet:
     def barrier_values(self, x):
         """All N barrier values h_1(x) .. h_N(x)."""
         return self.values(x)[1:]
-
-    def stacked_gradients(self, x, indices=None):
-        """Gradient columns [grad h_{a_1} .. grad h_{a_r}] as an (n, r) matrix.
-
-        ``indices`` is an ordered sequence of 1-based CBF indices; all N in
-        natural order when omitted.  Column order follows ``indices``.
-        """
-        rows = slice(1, None) if indices is None else list(
-            _check_indices(indices, self.n_barriers))
-        return self._rows_at(x)[1][rows].T

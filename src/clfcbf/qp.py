@@ -307,27 +307,16 @@ class _PointData:
         self.b = -(self.f_nom @ D + s)
 
 
-def _deflation(d):
-    """I - G grad V grad V^T / c at an assembled point ``d``.
+def _schur(d):
+    """(S, b2): the CLF multiplier eliminated from A l = b at an assembled
+    point ``d``.
 
-    ``c = A[0, 0] = 1/p + ||grad V||_G^2`` is the dual-cost curvature of
-    the CLF row; it is the identity whenever grad V = 0 (safety-filter mode
-    or the CLF center).
-    """
-    D0 = d.D[:, 0]
-    return np.eye(D0.shape[0]) - np.outer(d.problem.gram() @ D0, D0) / d.A[0, 0]
-
-
-def _schur(d, rows):
-    """(S, b2): the CLF multiplier eliminated from A[R, R] l_R = b[R].
-
-    ``rows`` lists R with row 0 first; S = A/A[0, 0] is the Schur complement
-    of the block on row 0 (symmetrized) and b2 the matching reduced
+    S = A/A[0, 0] is the Schur complement of A on row 0 (symmetrized), an
+    (N, N) matrix over the barrier rows, and b2 the matching reduced
     right-hand side, so S y = b2 holds for the barrier multipliers y of
-    every solution.
+    every l with A l = b.
     """
-    R = list(rows)
-    A, b = d.A[R][:, R], d.b[R]
+    A, b = d.A, d.b
     S = A[1:, 1:] - np.outer(A[1:, 0], A[0, 1:]) / A[0, 0]
     return 0.5 * (S + S.T), b[1:] - A[1:, 0] * (b[0] / A[0, 0])
 
@@ -477,7 +466,7 @@ def check_feasibility_condition(problem, x):
     """Sufficient feasibility certificate at ``x``.
 
     Eliminating the CLF multiplier from the dual normal equations A l = b
-    leaves the reduced system M y = b2 over the barrier rows: M is the
+    leaves the reduced system M y = b2 over all N barrier rows: M is the
     Schur complement of A on row 0, which equals U^T P G U with P the
     CLF-gradient deflation I - G grad V grad V^T / A[0, 0], and
     b2 = b[1:] - A[1:, 0] b[0] / A[0, 0].  Membership of b2 in the image of
@@ -491,7 +480,7 @@ def check_feasibility_condition(problem, x):
 def _feasibility(d):
     """The :class:`FeasibilityReport` of an assembled point ``d``."""
     tol = d.problem.tolerances
-    M, b2 = _schur(d, range(d.b.shape[0]))
+    M, b2 = _schur(d)
     svals_U, svals, _ = np.linalg.svd(M)
     cutoff = tol.rank * max(1.0, float(svals[0]) if svals.size else 1.0)
     rank = int(np.sum(svals > cutoff))

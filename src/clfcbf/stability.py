@@ -1,11 +1,16 @@
 """Stability analysis of boundary equilibria via the closed-loop Jacobian.
 
-Inside the region where a fixed active set A stays optimal, the closed
-loop is smooth and its Jacobian at an equilibrium factors through the
-Schur complement S_A = U_A^T P G U_A of the reduced dual system (P the
-CLF-gradient deflation), which is the dual matrix on the rows (0,) + A
-with the CLF row eliminated.  Two structural facts drive the
-classification:
+Inside the region where the rows R = (0,) + A of the pointwise QP's dual
+stay optimal, the closed loop is f_nom + G D_R l_R with A_RR l_R = b_R.
+Differentiating that linear system at an equilibrium (f_cl = 0) gives
+
+    J_fcl = J_A - G D_R A_RR^{-1} (D_R^T J_A + diag(gains_R) D_R^T),
+
+where J_A = F + G sum_k l_k H_k is the Jacobian with the multipliers
+frozen at their equilibrium values (H_k the row-signed Hessian: -hess V
+for row 0, hess h_i for barrier i, and l_0 = p gamma(V)) and gains_R the
+class-K slopes of the rows; it takes one solve on the (r+1)-square block.
+Two structural facts drive the classification:
 
 * every active-barrier gradient is a left eigenvector of the closed-loop
   Jacobian with eigenvalue -alpha'_i(0) < 0, so the constraint directions
@@ -18,7 +23,7 @@ classification:
 :func:`classify` implements the tangent-space test with a guard band
 around zero ("marginal"); :func:`spectrum_cross_check` compares the
 verdict against eigenvalues of a finite-difference Jacobian of the actual
-closed loop, which knows nothing about the factorization.
+closed loop, which knows nothing about the dual system.
 """
 
 from dataclasses import dataclass
@@ -28,7 +33,7 @@ import numpy as np
 
 from .certificates import _check_indices, _quadrics
 from .errors import DimensionMismatchError, PreconditionError
-from .qp import _deflation, _PointData, _schur, closed_loop_field
+from .qp import _PointData, closed_loop_field
 from .systems import _as_state, _finite_difference_jacobian
 
 __all__ = [
@@ -41,23 +46,17 @@ __all__ = [
     "spectrum_cross_check",
 ]
 
-#: condition-number ceiling for the active-set Schur complement.
-MAX_SCHUR_CONDITION = 1e12
+#: condition-number ceiling for the dual block A_RR on the rows (0,) + A.
+MAX_DUAL_BLOCK_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
 class JacobianBundle:
-    """Matrices assembled at one boundary equilibrium."""
+    """State Jacobians at one boundary equilibrium."""
 
     J_A: np.ndarray        # multiplier-frozen Jacobian at (lambda0_e, lambda_e)
     J_fA: np.ndarray       # Jacobian of the equilibrium field (CLF row eliminated)
-    S_A: np.ndarray        # active-set Schur complement U_A^T P G U_A
-    P_V: np.ndarray        # CLF-gradient deflation
-    P_UA: np.ndarray       # active-gradient deflation built from S_A
     J_fcl: np.ndarray      # closed-loop Jacobian
-    lambda_prime: np.ndarray  # alpha'_i(h_i) over the active set
-    cond_S_A: float
-    cond_B_V: float        # nan when grad V = 0 or G is singular
 
 
 @dataclass(frozen=True)
@@ -174,117 +173,53 @@ def closed_loop_jacobian(problem, x_e, lam, indices):
     Returns
     -------
     JacobianBundle
+        ``J_A``, ``J_fA`` and ``J_fcl``.
 
     Raises
     ------
     PreconditionError
-        If the active gradients are dependent, the input map has no
-        authority on them, or the Schur complement is ill-conditioned.
+        If the active set is empty, the active gradients are dependent, the
+        input map has no authority on them, or the dual block on (0,) + A
+        is ill-conditioned.
     """
     return _closed_loop_jacobian(problem, x_e, lam, indices)[0]
 
 
 def _closed_loop_jacobian(problem, x_e, lam, indices):
-    """(bundle, d): :func:`closed_loop_jacobian` and the point ``d`` it
-    assembled at x_e, whose columns ``d.D[:, indices]`` are U_A."""
+    """(bundle, basis): :func:`closed_loop_jacobian` and an orthonormal
+    (n, n - r) basis of the complement of the active gradients at x_e."""
     indices = _check_indices(indices, problem.n_barriers)
     lam = np.asarray(lam, dtype=float).ravel()
     d = _PointData(problem, x_e)
-    tol = problem.tolerances
-    n = d.x.shape[0]
     r = len(indices)
     if r == 0:
         raise PreconditionError("closed_loop_jacobian needs a nonempty active set")
     # the columns of D are the table rows: -grad V, then the barrier gradients
     U_A = d.D[:, indices]
-    sv = np.linalg.svd(U_A, compute_uv=False)
-    if int(np.sum(sv > tol.rank * max(1.0, float(sv[0])))) < r:
+    left, sv, _ = np.linalg.svd(U_A)
+    if int(np.sum(sv > problem.tolerances.rank * max(1.0, float(sv[0])))) < r:
         raise PreconditionError("active barrier gradients are linearly dependent")
     if float(np.max(np.abs(U_A.T @ problem.model.input_matrix))) < 1e-14:
         raise PreconditionError("input map has no authority on the active gradients")
 
-    G = problem.gram()
-    gradV = -d.D[:, 0]
-    lambda0_e = -problem.params.p * d.s[0]
-    P_V = _deflation(d)
-    S_A, _ = _schur(d, (0,) + indices)
-    s_sv = np.linalg.svd(S_A, compute_uv=False)
-    cond_S = float(s_sv[0] / s_sv[-1]) if s_sv[-1] > 0.0 else np.inf
-    if not np.isfinite(cond_S) or cond_S > MAX_SCHUR_CONDITION:
+    R = [0, *indices]
+    A_RR = d.A[np.ix_(R, R)]
+    a_sv = np.linalg.svd(A_RR, compute_uv=False)
+    cond = float(a_sv[0] / a_sv[-1]) if a_sv[-1] > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > MAX_DUAL_BLOCK_CONDITION:
         raise PreconditionError(
-            f"Schur complement is numerically singular (condition {cond_S:.3e})")
-    S_inv = np.linalg.inv(S_A)
-    # the class-K functions are linear: their slopes are the table gains
-    gains = problem.certificates.row_gains
-    lam_prime = gains[list(indices)]
-
-    PVG_UA = P_V @ G @ U_A
-    P_UA = np.eye(n) - PVG_UA @ S_inv @ U_A.T
+            f"dual block is numerically singular (condition {cond:.3e})")
     system, z = _stack_of_one(problem, d.x, lam, indices)
+    n = system.n
     J_fA = system(z)[1][0, :n, :n]
-    # multipliers frozen at (lambda0_e, lam): d/dx of f_nom + G(-lambda0 grad V + U_A lam)
-    J_A = system.F + system.curvature(np.concatenate(([-lambda0_e], lam))[None])[0]
-    core = P_V @ J_A - (gains[0] / d.A[0, 0]) * np.outer(G @ gradV, gradV)
-    J_fcl = P_UA @ core - PVG_UA @ S_inv @ np.diag(lam_prime) @ U_A.T
-
-    cond_B_V = np.nan
-    g_sv = np.linalg.svd(G, compute_uv=False)
-    grad_norm = float(np.max(np.abs(gradV)))
-    if grad_norm > 1e-12 and g_sv[-1] > tol.rank * max(1.0, float(g_sv[0])):
-        W = _orthogonal_complement_basis([G @ gradV])
-        B_V = np.column_stack([gradV, W])
-        cond_B_V = float(np.linalg.cond(B_V))
-
-    return JacobianBundle(
-        J_A=J_A, J_fA=J_fA, S_A=S_A, P_V=P_V, P_UA=P_UA, J_fcl=J_fcl,
-        lambda_prime=lam_prime, cond_S_A=cond_S, cond_B_V=cond_B_V), d
-
-
-def _orthogonal_complement_basis(vectors):
-    """Orthonormal basis of the complement of span(vectors).
-
-    Parameters
-    ----------
-    vectors : sequence of (n,) arrays or (n, r) ndarray
-        Spanning vectors (columns).  Must be linearly independent.
-
-    Returns
-    -------
-    (n, n - r) ndarray
-        Orthonormal columns w with w^T v = 0 for every input vector.
-        Deterministic: built by ordered elimination of the canonical basis
-        against the inputs.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        V = np.asarray(vectors, dtype=float)
-    else:
-        V = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    n, r = V.shape
-    basis = []
-    for col in V.T:
-        w = col.astype(float)
-        for b in basis:
-            w = w - float(b @ w) * b
-        norm2 = float(w @ w)
-        if norm2 <= 1e-20:
-            raise PreconditionError("input vectors are dependent")
-        basis.append(w / np.sqrt(norm2))
-    complement = []
-    for k in range(n):
-        if len(complement) == n - r:
-            break
-        w = np.zeros(n)
-        w[k] = 1.0
-        for b in basis + complement:
-            w = w - float(b @ w) * b
-        norm2 = float(w @ w)
-        if norm2 > 1e-20:
-            complement.append(w / np.sqrt(norm2))
-    if len(complement) != n - r:
-        raise PreconditionError("could not complete the complement basis")
-    if complement:
-        return np.column_stack(complement)
-    return np.zeros((n, 0))
+    # multipliers frozen at (p gamma(V), lam), the CLF row signed: mu_0 = -p gamma(V)
+    J_A = system.F + system.curvature(
+        np.concatenate(([problem.params.p * d.s[0]], lam))[None])[0]
+    D_R = d.D[:, R]
+    # d/dx of A_RR l_R = b_R at f_cl = 0, the class-K slopes from the table gains
+    rhs = D_R.T @ J_A + problem.certificates.row_gains[R][:, None] * D_R.T
+    J_fcl = J_A - system.G @ (D_R @ np.linalg.solve(A_RR, rhs))
+    return JacobianBundle(J_A=J_A, J_fA=J_fA, J_fcl=J_fcl), left[:, r:]
 
 
 def classify(problem, x_e, lam, indices):
@@ -308,7 +243,7 @@ def classify(problem, x_e, lam, indices):
     """
     indices = tuple(int(i) for i in indices)
     lam = np.asarray(lam, dtype=float).ravel()
-    bundle, d = _closed_loop_jacobian(problem, x_e, lam, indices)
+    bundle, B = _closed_loop_jacobian(problem, x_e, lam, indices)
     spectrum = _sorted_eigenvalues(bundle.J_fcl)
     n = bundle.J_fcl.shape[0]
     r = len(indices)
@@ -316,7 +251,6 @@ def classify(problem, x_e, lam, indices):
     if r == n:
         return StabilityVerdict(
             verdict="stable", mu_max=-np.inf, witness=None, spectrum=spectrum)
-    B = _orthogonal_complement_basis(d.D[:, indices])
     J_sym = 0.5 * (bundle.J_fA + bundle.J_fA.T)
     M = B.T @ J_sym @ B
     vals, vecs = np.linalg.eigh(M)

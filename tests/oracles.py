@@ -1,21 +1,27 @@
 """Test-only reference implementations the library is checked against.
 
-``frozen_multiplier_jacobian`` is the multiplier-frozen Jacobian summed
-certificate by certificate from each Hessian, the reference for the
-stacked ``JacobianBundle.J_A``; ``deflated_reduced_system`` is the reduced
-dual system U_A^T P_V G U_A y = b2 written with the CLF-gradient
-deflation P_V, the reference for the Schur complements of the dual
-matrix; ``verify_factorization`` re-derives, on its own, the congruence
-behind the stability test; ``newton`` is the damped Newton method for one seed
-that the library's lockstep Newton replaced, and ``public_system`` its
-augmented equilibrium system built from public evaluation calls, kept to
-show that the lockstep run returns every seed's root bit for bit;
-``multistart_interior_equilibria`` is the rejection-sampled multistart
-Newton search that the eigenvalue enumeration of
-``find_interior_equilibria`` replaced, kept to show that the enumeration
-finds every root the multistart finds; ``reference_integrate`` is the RK4
-loop as it stood before each sample read h and V off its own solve
-(``values`` per sample, every sample solved at the top of the loop), kept to show that every trajectory field is
+``barrier_gradients`` stacks each barrier's own ``gradient``, the U_A the
+checks compare against; ``frozen_multiplier_jacobian`` is the
+multiplier-frozen Jacobian summed certificate by certificate from each
+Hessian, the reference for the stacked ``JacobianBundle.J_A``;
+``deflation`` is the CLF-gradient deflation P_V = I - G grad V grad V^T / c
+and ``deflated_reduced_system`` the reduced dual system
+U_A^T P_V G U_A y = b2 written with it, the reference for the Schur
+complement of the dual matrix; ``deflation_closed_loop_jacobian`` is the
+closed-loop Jacobian assembled from P_V, the Schur complement S_A and the
+active-gradient deflation P_UA, the reference for the library's solve on
+the dual block; ``verify_factorization`` re-derives, on its own, the
+congruence behind the stability test; ``newton`` is the damped Newton
+method for one seed that the library's lockstep Newton replaced, and
+``public_system`` its augmented equilibrium system built from public
+evaluation calls, kept to show that the lockstep run returns every seed's
+root bit for bit; ``multistart_interior_equilibria`` is the
+rejection-sampled multistart Newton search that the eigenvalue
+enumeration of ``find_interior_equilibria`` replaced, kept to show that
+the enumeration finds every root the multistart finds;
+``reference_integrate`` is the RK4 loop as it stood before each sample
+read h and V off its own solve (``values`` per sample, every sample solved
+at the top of the loop), kept to show that every trajectory field is
 unchanged bit for bit.
 """
 import numpy as np
@@ -31,8 +37,17 @@ from clfcbf import (
     solve_pointwise,
 )
 from clfcbf.simulate import BLOWUP_LIMIT, CONVERGENCE_WINDOW
-from clfcbf.stability import _orthogonal_complement_basis
 from clfcbf.systems import _eval_drift
+
+
+def barrier_gradients(problem, x, indices=None):
+    """[grad h_{a_1} .. grad h_{a_r}] (n, r) from each barrier's own
+    ``gradient``; all N in natural order when ``indices`` is omitted."""
+    certs = problem.certificates
+    if indices is None:
+        indices = range(1, problem.n_barriers + 1)
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([certs.barrier(i).gradient(x) for i in indices])
 
 
 def frozen_multiplier_jacobian(problem, x, lambda0, lam, indices):
@@ -66,25 +81,68 @@ def _clf_terms(problem, x):
     return grad_v, gamma_v, c
 
 
+def deflation(problem, x):
+    """P_V = I - G grad V grad V^T / c, the CLF-gradient deflation at ``x``.
+
+    ``c = 1/p + ||grad V||_G^2`` is the dual-cost curvature of the CLF
+    row; P_V is the identity whenever grad V = 0 (no CLF, or the CLF
+    center).
+    """
+    grad_v, _, c = _clf_terms(problem, np.asarray(x, dtype=float))
+    return np.eye(problem.n) - np.outer(problem.gram() @ grad_v, grad_v) / c
+
+
 def deflated_reduced_system(problem, x, indices):
     """(M, b2) of the barrier rows ``indices`` with the CLF multiplier eliminated.
 
     M = U_A^T P_V G U_A and b2 = U_A^T (gamma(V) G grad V / c - P_V f_nom)
-    - alpha_A, with P_V = I - G grad V grad V^T / c, built from the
+    - alpha_A, with P_V the :func:`deflation`, built from the
     certificates' own ``gradient`` and ``value``.
     """
     certs = problem.certificates
     x = np.asarray(x, dtype=float)
     grad_v, gamma_v, c = _clf_terms(problem, x)
     G = problem.gram()
-    P_V = np.eye(problem.n) - np.outer(G @ grad_v, grad_v) / c
-    U_A = np.column_stack([certs.barrier(i).gradient(x) for i in indices])
+    P_V = deflation(problem, x)
+    U_A = barrier_gradients(problem, x, indices)
     alpha_A = np.array([certs.alphas[i - 1].value(certs.barrier(i).value(x))
                         for i in indices])
     f_nom = _eval_drift(problem.model, x) + problem.model.input_matrix @ problem.u_nom(x)
     M = U_A.T @ P_V @ G @ U_A
     b2 = U_A.T @ ((gamma_v / c) * (G @ grad_v) - P_V @ f_nom) - alpha_A
     return 0.5 * (M + M.T), b2
+
+
+def deflation_closed_loop_jacobian(problem, x_e, lam, indices):
+    """The closed-loop Jacobian by the deflation algebra.
+
+    With P_V the :func:`deflation`, S_A = U_A^T P_V G U_A the Schur
+    complement of the dual block on (0,) + A and the active-gradient
+    deflation P_UA = I - P_V G U_A S_A^{-1} U_A^T,
+
+        J_fcl = P_UA (P_V J_A - gamma'/c G grad V grad V^T)
+                - P_V G U_A S_A^{-1} diag(alpha'_A) U_A^T,
+
+    with J_A the :func:`frozen_multiplier_jacobian` at lambda_0 = p gamma(V)
+    (gamma' = 0 without a CLF), all from the certificates' own methods.
+    """
+    indices = tuple(int(i) for i in indices)
+    lam = np.asarray(lam, dtype=float).ravel()
+    x_e = np.asarray(x_e, dtype=float).ravel()
+    certs = problem.certificates
+    grad_v, gamma_v, c = _clf_terms(problem, x_e)
+    gamma_slope = certs.gamma.gain if certs.has_clf else 0.0
+    G = problem.gram()
+    P_V = deflation(problem, x_e)
+    U_A = barrier_gradients(problem, x_e, indices)
+    S_inv = np.linalg.inv(deflated_reduced_system(problem, x_e, indices)[0])
+    slopes = np.array([certs.alphas[i - 1].slope(0.0) for i in indices])
+    J_A = frozen_multiplier_jacobian(
+        problem, x_e, problem.params.p * gamma_v, lam, indices)
+    PVG_UA = P_V @ G @ U_A
+    P_UA = np.eye(problem.n) - PVG_UA @ S_inv @ U_A.T
+    core = P_V @ J_A - (gamma_slope / c) * np.outer(G @ grad_v, grad_v)
+    return P_UA @ core - PVG_UA @ S_inv @ np.diag(slopes) @ U_A.T
 
 
 def verify_factorization(problem, x_e, lam, indices):
@@ -114,9 +172,10 @@ def verify_factorization(problem, x_e, lam, indices):
     gamma_slope = problem.certificates.gamma.gain
     J_A = frozen_multiplier_jacobian(problem, x_e, lambda0_e, lam, indices)
     J_fA = equilibrium_field_jacobian(problem, x_e, lam, indices)
-    P_V = np.eye(n) - np.outer(G @ grad_v, grad_v) / c
+    P_V = deflation(problem, x_e)
     lhs = P_V @ J_A - (gamma_slope / c) * np.outer(G @ grad_v, grad_v)
-    W = _orthogonal_complement_basis([G @ grad_v])
+    # any orthonormal complement of G grad V: the residual does not depend on it
+    W = np.linalg.svd((G @ grad_v)[:, None])[0][:, 1:]
     B = np.column_stack([grad_v, W])
     D = np.diag(np.concatenate([[1.0 / (p * c)], np.ones(n - 1)]))
     rhs = np.linalg.solve(B.T, D @ B.T @ J_fA)

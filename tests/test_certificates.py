@@ -3,7 +3,16 @@ gains, and the (N+1)-row certificate table with its stacked accessors."""
 import numpy as np
 import pytest
 
-from clfcbf import CertificateSet, ClassKappa, QuadraticCertificate
+from clfcbf import (
+    CertificateSet,
+    ClassKappa,
+    ControllerParams,
+    ControlProblem,
+    DynamicsModel,
+    NominalController,
+    QuadraticCertificate,
+    equilibrium_field_jacobian,
+)
 from clfcbf.certificates import MAX_BARRIERS, _quadrics
 from clfcbf.errors import DimensionMismatchError, InvalidParameterError
 
@@ -118,12 +127,14 @@ def test_certificate_set_accessors():
 def test_stacked_gradients_order_and_subset():
     cs = make_set()
     x = np.array([3.0, 0.0])
-    # Columns follow barrier indexing (1-based certificate ids).
-    U_all = cs.stacked_gradients(x)
-    assert U_all.shape == (2, 2)
-    assert np.allclose(U_all[:, 0], cs.barrier(1).gradient(x))
-    assert np.allclose(U_all[:, 1], cs.barrier(2).gradient(x))
-    U_2 = cs.stacked_gradients(x, indices=[2])
+    # Table rows follow barrier indexing (1-based certificate ids), row 0 the CLF.
+    values, grads = cs._rows_at(x)
+    assert grads.shape == (3, 2)
+    assert np.array_equal(values, cs.values(x))
+    assert np.allclose(grads[0], cs.clf.gradient(x))
+    assert np.allclose(grads[1], cs.barrier(1).gradient(x))
+    assert np.allclose(grads[2], cs.barrier(2).gradient(x))
+    U_2 = grads[[2]].T
     assert U_2.shape == (2, 1)
     assert np.allclose(U_2[:, 0], cs.barrier(2).gradient(x))
 
@@ -190,13 +201,13 @@ def test_stacked_arrays_match_per_certificate_evaluation(n_barriers):
         assert np.all(np.abs(cs.barrier_values(x) - h_ref) <= 1e-12 * h_scale)
         assert np.all(np.abs(cs.alpha_gains * cs.barrier_values(x) - alpha_ref)
                       <= 1e-12 * gains * h_scale)
-        assert np.allclose(cs.stacked_gradients(x), U_ref, rtol=1e-12, atol=0.0)
+        table_grads = cs._rows_at(x)[1]
+        assert np.allclose(table_grads[1:].T, U_ref, rtol=1e-12, atol=0.0)
         assert np.array_equal(cs.alpha_gains, slope_ref)
         idx = list(rng.permutation(n_barriers)[:int(rng.integers(0, n_barriers + 1))] + 1)
         cols = [i - 1 for i in idx]
-        assert cs.stacked_gradients(x, idx).shape == (n, len(idx))
-        assert np.allclose(cs.stacked_gradients(x, idx), U_ref[:, cols],
-                           rtol=1e-12, atol=0.0)
+        assert table_grads[idx].T.shape == (n, len(idx))
+        assert np.allclose(table_grads[idx].T, U_ref[:, cols], rtol=1e-12, atol=0.0)
         assert np.all(np.abs(cs.alpha_gains[cols] * cs.barrier_values(x)[cols]
                              - alpha_ref[cols])
                       <= 1e-12 * gains[cols] * h_scale[cols])
@@ -234,7 +245,11 @@ def test_stacked_arrays_are_read_only():
 
 @pytest.mark.parametrize("bad", [[0], [3], [-1], [1, 1], [2, 1, 2]])
 def test_bad_or_repeated_indices_rejected(bad):
-    cs = make_set()
+    problem = ControlProblem(
+        model=DynamicsModel.driftless(input_matrix=np.eye(2)),
+        certificates=make_set(),
+        params=ControllerParams(mode="clf_cbf", p=1.0, cost_metric=np.eye(2),
+                                nominal=NominalController.zero(2)))
     x = np.array([3.0, 0.0])
-    with pytest.raises(InvalidParameterError):
-        cs.stacked_gradients(x, indices=bad)
+    with pytest.raises(InvalidParameterError, match="CBF index"):
+        equilibrium_field_jacobian(problem, x, np.ones(len(bad)), bad)

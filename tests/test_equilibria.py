@@ -31,7 +31,12 @@ from clfcbf import (
     validate_equilibrium,
 )
 from clfcbf.cli import _sample_safe_states
-from oracles import multistart_interior_equilibria, newton, public_system
+from oracles import (
+    barrier_gradients,
+    multistart_interior_equilibria,
+    newton,
+    public_system,
+)
 
 DEADLOCK_SEARCH = SearchConfig(
     box=np.array([[-6.0, 6.0], [-6.0, 6.0]]), boundary_seeds=64, interior_seeds=32,
@@ -72,7 +77,7 @@ def boundary_residual_scan(problem, points, indices):
             * certs.gamma.gain * certs.clf.value(x)
             * (G @ certs.clf.gradient(x))
         )
-        U = certs.stacked_gradients(x, indices)
+        U = barrier_gradients(problem, x, indices)
         cols = G @ U
         lam, _ = nnls_1d_or_small(cols, target)
         res = np.linalg.norm(cols @ lam - target)
@@ -192,7 +197,7 @@ def test_conical_combination_identity_fig1(fig1, fig1_scenario):
             lhs = fig1.params.p * certs.gamma.gain * certs.clf.value(
                 rep.x_e
             ) * certs.clf.gradient(rep.x_e)
-            rhs = certs.stacked_gradients(rep.x_e, list(rep.indices)) @ rep.lambda_e
+            rhs = barrier_gradients(fig1, rep.x_e, rep.indices) @ rep.lambda_e
             assert np.linalg.norm(lhs - rhs) <= 1e-6
 
 

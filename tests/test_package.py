@@ -1,6 +1,7 @@
 """The package surface: the pinned public API, and no unused imports in
 any module of the package."""
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import clfcbf
@@ -45,6 +46,11 @@ def test_public_api_is_pinned():
     assert set(clfcbf.__all__) == PUBLIC_API
     for name in clfcbf.__all__:
         assert getattr(clfcbf, name) is not None, name
+
+
+def test_jacobian_bundle_fields_are_pinned():
+    assert tuple(f.name for f in fields(clfcbf.JacobianBundle)) == (
+        "J_A", "J_fA", "J_fcl")
 
 
 def _unused_imports(source):

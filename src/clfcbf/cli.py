@@ -34,6 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .certificates import _quadrics
 from .equilibria import find_boundary_equilibria, find_interior_equilibria
 from .errors import (
     InfeasibleQPError,
@@ -79,22 +80,29 @@ def _report(scenario, sections):
 
 
 def _sample_safe_states(problem, box, count, seed):
-    """Uniform box samples rejection-filtered to the safe set.
+    """Uniform box samples rejection-filtered to the safe set: the first
+    ``count`` safe rows, as a (count, n) array, of at most
+    max(200 count, 1000) draws.
 
     The feasibility and optimality guarantees are scoped to the safe set;
     inside obstacle interiors the QP can be genuinely infeasible, so the
-    audits sample where the contracts apply.
+    audits sample where the contracts apply.  Rows are drawn in blocks,
+    each with one ``uniform`` call and one evaluation of the barrier
+    table; the draws and barrier values are those of one row at a time.
     """
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]
-    samples = []
-    attempts = 0
+    certs = problem.certificates
     limit = max(200 * count, 1000)
-    while len(samples) < count and attempts < limit:
-        x = rng.uniform(lo, hi)
-        attempts += 1
-        if float(problem.certificates.barrier_values(x).min()) >= 0.0:
-            samples.append(x)
+    samples = np.empty((0, lo.shape[0]))
+    drawn = 0
+    while len(samples) < count and drawn < limit:
+        rows = min(max(count, 1000), limit - drawn)
+        X = rng.uniform(lo, hi, size=(rows, lo.shape[0]))
+        drawn += rows
+        h = _quadrics(certs.shapes, certs.centers, certs.offsets, X)[0]
+        safe = X[h.min(axis=1) >= 0.0][:count - len(samples)]
+        samples = np.concatenate([samples, safe])
     if len(samples) < count:
         raise PreconditionError(
             f"could not draw {count} safe states from the search box "
@@ -102,10 +110,16 @@ def _sample_safe_states(problem, box, count, seed):
     return samples
 
 
+def _rounded(x, decimals=10):
+    """x rounded to ``decimals`` places with -0.0 folded into +0.0, so
+    neither the digits nor the sign of rounding noise show in an output."""
+    return np.round(x, decimals) + 0.0
+
+
 def _fmt_vec(x, precision=10):
     """Fixed-point coordinates, rounded first and -0.0 folded into +0.0, so
     the sign of rounding noise never shows."""
-    rounded = np.round(np.asarray(x, dtype=float), precision) + 0.0
+    rounded = _rounded(np.asarray(x, dtype=float), precision)
     return "(" + ", ".join(f"{v: .{precision}f}" for v in rounded) + ")"
 
 
@@ -195,8 +209,8 @@ def _spectrum_entry(spectrum):
     """[real, imag] pairs rounded to the table's 10 decimals, -0.0 folded
     into +0.0 and sorted descending, so the rounding noise of a repeated
     eigenvalue (a real pair or a complex pair 1e-15 apart) never shows."""
-    rounded = np.round(np.asarray(spectrum, dtype=complex), 10)
-    pairs = np.column_stack([rounded.real, rounded.imag]) + 0.0
+    rounded = _rounded(np.asarray(spectrum, dtype=complex))
+    pairs = np.column_stack([rounded.real, rounded.imag])
     return sorted(([float(re), float(im)] for re, im in pairs), reverse=True)
 
 
@@ -227,9 +241,9 @@ def _classify_entry(problem, rep):
         entry["failure_reason"] = f"classification failed: {exc}"
         return entry
     entry["verdict"] = verdict.verdict
-    entry["mu_max"] = float(verdict.mu_max)
+    entry["mu_max"] = float(_rounded(verdict.mu_max))
     if verdict.witness is not None:
-        entry["witness"] = [float(v) for v in verdict.witness]
+        entry["witness"] = [float(v) for v in _rounded(verdict.witness)]
     entry["spectrum"] = _spectrum_entry(verdict.spectrum)
     if verdict.verdict != "marginal":
         check = spectrum_cross_check(

@@ -7,33 +7,29 @@ by a single reviewable text file.  The schema is versioned and validation
 fails closed: unknown keys are errors, and *all* problems are reported at
 once (:class:`~clfcbf.errors.ScenarioError.problems`), not just the first.
 
-Schema (version 1)
-------------------
-::
+Schema 1 is written once, as the table ``_SCHEMA``.  Besides the
+top-level ``schema: 1``, ``name``, optional ``description`` and optional
+``tolerances`` (a mapping of :class:`~clfcbf.tolerances.Tolerances` field
+names to positive numbers), every node below the top level has one of
+these forms:
 
-    schema: 1
-    name: <identifier>
-    description: <free text, optional>
-    dynamics:
-      drift: {kind: zero} | {kind: linear, matrix: <n x n>}
-      input: {matrix: <n x m>}
-    nominal: {kind: zero} | {kind: linear_feedback, gain: <m x n>}
-    controller: {mode: <safety_filter|clf_cbf|generalized>, p: <float>,
-                 cost_metric: <m x m>}
-    clf: null | {shape: <n x n>, center: <n>, gamma_gain: <float>}
-    cbfs:
-      - {shape: <n x n>, center: <n>, offset: <float>, alpha_gain: <float>}
-    initial_states: [<n>, ...]          # may be empty
-    integration:
-      dt: <float>
-      t_final: <float>
-      convergence: null | {target: <n>, tol: <float>}
-    search:
-      box: <n x 2>                      # [low, high] per coordinate
-      boundary_seeds: <int>
-      interior_seeds: <int>
-      seed: <int>
-    tolerances: {<Tolerances field>: <float>, ...}   # optional, defaults apply
+* a mapping, whose keys are all required;
+* ``("list_of", item, non_empty)``: a list of ``item`` nodes;
+* ``"number"``, ``"positive"`` (a number > 0) and ``"count"`` (an
+  integer >= 0);
+* ``("vector", "n")``: a list of n numbers;
+* ``("matrix", rows, cols)``: a list of rows of numbers, each dimension
+  given as ``"n"``, ``"m"`` or an int; ``"input_map"``, the matrix at
+  ``dynamics.input.matrix``, defines n and m;
+* ``"mode"``: one of :data:`~clfcbf.qp.MODES`;
+* ``("nullable", node)``: ``null`` or ``node``;
+* ``("kind", key, other, node)``: ``{kind: zero}``, which forbids ``key``,
+  or ``{kind: <other>, <key>: node}``.
+
+Reading a document against the table yields its normalized form: numbers
+as floats, vectors and matrices as arrays, every mapping in table order.
+A :class:`Scenario` keeps it; in plain Python it is the canonical form
+that :meth:`Scenario.to_dict` returns and :func:`serialize_scenario` writes.
 
 The schema expresses every plant and nominal controller the library
 has: zero or linear drift, a constant input map, and zero or linear
@@ -42,8 +38,7 @@ state-feedback nominal control.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -74,6 +69,33 @@ SCHEMA_VERSION = 1
 #: the pure-Python dumper so reports stay byte-identical.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+_QUADRIC = {"shape": ("matrix", "n", "n"), "center": ("vector", "n")}
+
+#: every section of schema 1 below the top level, in canonical order.
+_SCHEMA = {
+    "dynamics": {
+        "drift": ("kind", "matrix", "linear", ("matrix", "n", "n")),
+        "input": {"matrix": "input_map"},
+    },
+    "nominal": ("kind", "gain", "linear_feedback", ("matrix", "m", "n")),
+    "controller": {"mode": "mode", "p": "number",
+                   "cost_metric": ("matrix", "m", "m")},
+    "clf": ("nullable", {**_QUADRIC, "gamma_gain": "positive"}),
+    "cbfs": ("list_of", {**_QUADRIC, "offset": "number", "alpha_gain": "positive"},
+             True),
+    "initial_states": ("list_of", ("vector", "n"), False),
+    "integration": {
+        "dt": "positive",
+        "t_final": "positive",
+        "convergence": ("nullable", {"target": ("vector", "n"), "tol": "positive"}),
+    },
+    "search": {"box": ("matrix", "n", 2), "boundary_seeds": "count",
+               "interior_seeds": "count", "seed": "count"},
+}
+
+#: the key read first in every mapping: the input map defines n and m.
+_READ_FIRST = "input"
+
 
 def _pyify(value):
     """Recursively convert numpy containers/scalars to plain Python."""
@@ -92,23 +114,220 @@ def _pyify(value):
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A validated scenario; :meth:`problem` yields the bound ControlProblem."""
+class _Validator:
+    """Reads a document against ``_SCHEMA``, accumulating problems as
+    'field.path: message' strings.  Each reader returns the node's
+    normalized value, or None once it has recorded a problem there."""
 
-    name: str
-    model: DynamicsModel
-    nominal: NominalController
-    params: ControllerParams
-    certificates: CertificateSet
-    initial_states: Tuple[np.ndarray, ...]
-    dt: float
-    t_final: float
-    target: Optional[np.ndarray]
-    target_tol: float
-    search: SearchConfig
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    description: str = ""
+    def __init__(self):
+        self.problems = []
+        self.dims = {"n": None, "m": None}
+
+    def fail(self, path, message):
+        self.problems.append(f"{path}: {message}")
+        return None
+
+    def mapping(self, node, path, required, optional=()):
+        if not isinstance(node, dict):
+            return self.fail(path, f"expected a mapping, got {type(node).__name__}")
+        for key in sorted(set(node) - set(required) - set(optional), key=str):
+            self.fail(f"{path}.{key}", "unknown key")
+        ok = True
+        for key in required:
+            if key not in node:
+                self.fail(f"{path}.{key}", "missing required key")
+                ok = False
+        return node if ok else None
+
+    def read(self, node, spec, path):
+        if type(spec) is str:
+            return getattr(self, spec)(node, path)
+        if type(spec) is tuple:
+            return getattr(self, spec[0])(node, path, *spec[1:])
+        if self.mapping(node, path, spec) is None:
+            return None
+        return self.fields(node, spec, path)
+
+    def fields(self, node, spec, path):
+        """Every key of a mapping node in table order, the input map read first."""
+        out = dict.fromkeys(spec)
+        if _READ_FIRST in spec:
+            spec = {_READ_FIRST: spec[_READ_FIRST], **spec}
+        for key, sub in spec.items():
+            out[key] = self.read(node[key], sub, f"{path}.{key}")
+        return out
+
+    def list_of(self, node, path, item, non_empty):
+        if not isinstance(node, list) or (non_empty and not node):
+            return self.fail(path, "expected a non-empty list" if non_empty
+                             else "expected a list (possibly empty)")
+        return [self.read(x, item, f"{path}[{k}]") for k, x in enumerate(node)]
+
+    def nullable(self, node, path, spec):
+        return None if node is None else self.read(node, spec, path)
+
+    def kind(self, node, path, key, other, spec):
+        if self.mapping(node, path, ("kind",), (key,)) is None:
+            return None
+        kind = node["kind"]
+        if kind == "zero":
+            if key in node:
+                return self.fail(f"{path}.{key}", "not allowed when kind is 'zero'")
+            return {"kind": kind}
+        if kind != other:
+            return self.fail(f"{path}.kind",
+                             f"expected 'zero' or {other!r}, got {kind!r}")
+        if key not in node:
+            return self.fail(f"{path}.{key}", f"required when kind is {other!r}")
+        return {"kind": kind, key: self.read(node[key], spec, f"{path}.{key}")}
+
+    def mode(self, node, path):
+        if node not in MODES:
+            return self.fail(path, f"expected one of {MODES}, got {node!r}")
+        return node
+
+    def number(self, node, path, positive=False):
+        if not isinstance(node, (int, float)) or isinstance(node, bool):
+            return self.fail(path, f"expected a number, got {type(node).__name__}")
+        try:
+            value = float(node)
+        except OverflowError:
+            return self.fail(path, "number too large")
+        if positive and not value > 0.0:
+            return self.fail(path, f"must be positive, got {value}")
+        return value
+
+    def positive(self, node, path):
+        return self.number(node, path, positive=True)
+
+    def count(self, node, path):
+        if not isinstance(node, int) or isinstance(node, bool):
+            return self.fail(path, f"expected an integer, got {type(node).__name__}")
+        if node < 0:
+            return self.fail(path, f"must be >= 0, got {node}")
+        return int(node)
+
+    def vector(self, node, path, length):
+        length = self.dims[length]
+        try:
+            v = np.asarray(node, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return self.fail(path, "expected a list of numbers")
+        if v.ndim != 1:
+            return self.fail(path, f"expected a flat list, got shape {v.shape}")
+        if length is not None and v.shape[0] != length:
+            return self.fail(path, f"expected length {length}, got {v.shape[0]}")
+        return v
+
+    def matrix(self, node, path, rows=None, cols=None):
+        shape = (self.dims.get(rows, rows), self.dims.get(cols, cols))
+        try:
+            M = np.asarray(node, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return self.fail(path, "expected a list of rows of numbers")
+        if M.ndim != 2:
+            return self.fail(path, f"expected a matrix, got shape {M.shape}")
+        if None not in shape and M.shape != shape:
+            return self.fail(path, f"expected shape {shape}, got {M.shape}")
+        return M
+
+    def input_map(self, node, path):
+        M = self.matrix(node, path)
+        if M is not None:
+            self.dims.update(n=M.shape[0], m=M.shape[1])
+        return M
+
+
+def _read_document(doc):
+    """The normalized form of ``doc``, or a ScenarioError listing every
+    problem in it."""
+    v = _Validator()
+    if v.mapping(doc, "scenario", ("schema", "name", *_SCHEMA),
+                 ("description", "tolerances")) is None:
+        raise ScenarioError(v.problems)
+    if doc["schema"] != SCHEMA_VERSION:
+        v.fail("scenario.schema",
+               f"unsupported schema version {doc['schema']!r}; "
+               f"this toolkit reads version {SCHEMA_VERSION}")
+    name = doc["name"]
+    if not isinstance(name, str) or not name:
+        v.fail("scenario.name", "expected a non-empty string")
+    description = doc.get("description", "")
+    if not isinstance(description, str):
+        v.fail("scenario.description", "expected a string")
+    out = {"schema": SCHEMA_VERSION, "name": name}
+    if description:
+        out["description"] = description
+    out.update(v.fields(doc, _SCHEMA, "scenario"))
+    p = (out["controller"] or {}).get("p")
+    if p is not None and not p > 0.0:
+        v.fail("scenario.controller.p", f"p must be positive, got {p}")
+
+    tol_node = doc.get("tolerances")
+    out["tolerances"] = Tolerances().to_dict()
+    if tol_node is not None and not isinstance(tol_node, dict):
+        v.fail("scenario.tolerances", "expected a mapping")
+    elif tol_node:
+        for key in sorted(tol_node, key=str):
+            path = f"scenario.tolerances.{key}"
+            if key in out["tolerances"]:
+                out["tolerances"][key] = v.positive(tol_node[key], path)
+            else:
+                v.fail(path, "unknown tolerance name")
+    if v.problems:
+        raise ScenarioError(v.problems)
+    return out
+
+
+class Scenario:
+    """A validated scenario, built from its schema-1 document.
+
+    ``Scenario(document)`` takes the parsed YAML document (plain
+    dictionaries and lists), validates it against ``_SCHEMA`` (raising
+    :class:`~clfcbf.errors.ScenarioError` with every problem), builds the
+    library objects and keeps the normalized document, the one source of
+    :meth:`to_dict`, :meth:`sha256`, equality and hashing.
+    :meth:`problem` yields the bound ControlProblem.
+    """
+
+    def __init__(self, document):
+        self._document = doc = _read_document(document)
+        self.tolerances = Tolerances(**doc["tolerances"])
+        self.name = doc["name"]
+        self.description = doc.get("description", "")
+        dyn, nom, ctl, clf = doc["dynamics"], doc["nominal"], doc["controller"], doc["clf"]
+        self.initial_states = tuple(doc["initial_states"])
+        self.dt = doc["integration"]["dt"]
+        self.t_final = doc["integration"]["t_final"]
+        conv = doc["integration"]["convergence"]
+        self.target = None if conv is None else conv["target"]
+        self.target_tol = 1e-3 if conv is None else conv["tol"]
+        # the library objects' own validators catch the rest
+        try:
+            g0 = dyn["input"]["matrix"]
+            if dyn["drift"]["kind"] == "linear":
+                self.model = DynamicsModel.linear(dyn["drift"]["matrix"], g0)
+            else:
+                self.model = DynamicsModel.driftless(g0)
+            if nom["kind"] == "linear_feedback":
+                self.nominal = NominalController.linear_feedback(nom["gain"])
+            else:
+                self.nominal = NominalController.zero(g0.shape[1])
+            self.params = ControllerParams(
+                mode=ctl["mode"], p=ctl["p"], cost_metric=ctl["cost_metric"],
+                nominal=self.nominal)
+            self.certificates = CertificateSet(
+                clf=None if clf is None
+                else QuadraticCertificate.clf(clf["shape"], clf["center"]),
+                gamma=None if clf is None else ClassKappa(clf["gamma_gain"]),
+                cbfs=tuple(QuadraticCertificate.barrier(b["shape"], b["center"],
+                                                        offset=b["offset"])
+                           for b in doc["cbfs"]),
+                alphas=tuple(ClassKappa(b["alpha_gain"]) for b in doc["cbfs"]))
+            self.search = SearchConfig(**doc["search"])
+            self.problem()  # exercise the cross-component dimension checks
+        except ToolkitError as exc:
+            raise ScenarioError([f"scenario: {exc}"]) from exc
 
     def problem(self):
         return ControlProblem(
@@ -116,67 +335,9 @@ class Scenario:
             params=self.params, tolerances=self.tolerances)
 
     def to_dict(self):
-        """Canonical schema-form dictionary (round-trips through YAML)."""
-        drift = {"kind": self.model.drift_kind}
-        if self.model.drift_kind == "linear":
-            drift["matrix"] = _pyify(self.model.drift_matrix)
-        nominal = {"kind": self.nominal.kind}
-        if self.nominal.kind == "linear_feedback":
-            nominal["gain"] = _pyify(self.nominal.gain)
-        certs = self.certificates
-        clf = None
-        if certs.has_clf:
-            clf = {
-                "shape": _pyify(certs.clf.shape),
-                "center": _pyify(certs.clf.center),
-                "gamma_gain": float(certs.gamma.gain),
-            }
-        convergence = None
-        if self.target is not None:
-            convergence = {"target": _pyify(self.target),
-                           "tol": float(self.target_tol)}
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-        }
-        if self.description:
-            doc["description"] = self.description
-        doc.update({
-            "dynamics": {
-                "drift": drift,
-                "input": {"matrix": _pyify(self.model.input_matrix)},
-            },
-            "nominal": nominal,
-            "controller": {
-                "mode": self.params.mode,
-                "p": float(self.params.p),
-                "cost_metric": _pyify(self.params.cost_metric),
-            },
-            "clf": clf,
-            "cbfs": [
-                {
-                    "shape": _pyify(b.shape),
-                    "center": _pyify(b.center),
-                    "offset": float(b.offset),
-                    "alpha_gain": float(a.gain),
-                }
-                for b, a in zip(certs.cbfs, certs.alphas)
-            ],
-            "initial_states": [_pyify(x) for x in self.initial_states],
-            "integration": {
-                "dt": float(self.dt),
-                "t_final": float(self.t_final),
-                "convergence": convergence,
-            },
-            "search": {
-                "box": _pyify(self.search.box),
-                "boundary_seeds": int(self.search.boundary_seeds),
-                "interior_seeds": int(self.search.interior_seeds),
-                "seed": int(self.search.seed),
-            },
-            "tolerances": self.tolerances.to_dict(),
-        })
-        return doc
+        """The normalized document in plain Python: the canonical schema
+        form, which round-trips through YAML."""
+        return _pyify(self._document)
 
     def sha256(self):
         """Content hash of the canonical form, for report provenance."""
@@ -192,308 +353,15 @@ class Scenario:
         return hash(self.sha256())
 
 
-class _Validator:
-    """Accumulates problems as 'field.path: message' strings."""
-
-    def __init__(self):
-        self.problems = []
-
-    def fail(self, path, message):
-        self.problems.append(f"{path}: {message}")
-        return None
-
-    def mapping(self, node, path, required, optional=()):
-        if node is None or not isinstance(node, dict):
-            return self.fail(path, f"expected a mapping, got {type(node).__name__}")
-        for key in sorted(set(node) - set(required) - set(optional)):
-            self.fail(f"{path}.{key}", "unknown key")
-        ok = True
-        for key in required:
-            if key not in node:
-                self.fail(f"{path}.{key}", "missing required key")
-                ok = False
-        return node if ok else None
-
-    def number(self, node, path, positive=False):
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
-            return self.fail(path, f"expected a number, got {type(node).__name__}")
-        value = float(node)
-        if positive and not value > 0.0:
-            return self.fail(path, f"must be positive, got {value}")
-        return value
-
-    def integer(self, node, path, minimum=None):
-        if not isinstance(node, int) or isinstance(node, bool):
-            return self.fail(path, f"expected an integer, got {type(node).__name__}")
-        if minimum is not None and node < minimum:
-            return self.fail(path, f"must be >= {minimum}, got {node}")
-        return int(node)
-
-    def vector(self, node, path, length=None):
-        try:
-            v = np.asarray(node, dtype=float)
-        except (TypeError, ValueError):
-            return self.fail(path, "expected a list of numbers")
-        if v.ndim != 1:
-            return self.fail(path, f"expected a flat list, got shape {v.shape}")
-        if length is not None and v.shape[0] != length:
-            return self.fail(path, f"expected length {length}, got {v.shape[0]}")
-        return v
-
-    def matrix(self, node, path, shape=None):
-        try:
-            M = np.asarray(node, dtype=float)
-        except (TypeError, ValueError):
-            return self.fail(path, "expected a list of rows of numbers")
-        if M.ndim != 2:
-            return self.fail(path, f"expected a matrix, got shape {M.shape}")
-        if shape is not None and M.shape != shape:
-            return self.fail(path, f"expected shape {shape}, got {M.shape}")
-        return M
-
-
-def _parse_document(doc):
-    v = _Validator()
-    top = v.mapping(
-        doc, "scenario",
-        required=("schema", "name", "dynamics", "nominal", "controller",
-                  "clf", "cbfs", "initial_states", "integration", "search"),
-        optional=("description", "tolerances"))
-    if top is None:
-        raise ScenarioError(v.problems)
-
-    if doc.get("schema") != SCHEMA_VERSION:
-        v.fail("scenario.schema",
-               f"unsupported schema version {doc.get('schema')!r}; "
-               f"this toolkit reads version {SCHEMA_VERSION}")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        v.fail("scenario.name", "expected a non-empty string")
-        name = "<unnamed>"
-    description = doc.get("description", "")
-    if not isinstance(description, str):
-        v.fail("scenario.description", "expected a string")
-        description = ""
-
-    # -- dynamics --------------------------------------------------------
-    n = m = None
-    g0 = None
-    drift_matrix = None
-    drift_kind = "zero"
-    dyn = v.mapping(doc["dynamics"], "scenario.dynamics", ("drift", "input"))
-    if dyn is not None:
-        inp = v.mapping(dyn["input"], "scenario.dynamics.input", ("matrix",))
-        if inp is not None:
-            g0 = v.matrix(inp["matrix"], "scenario.dynamics.input.matrix")
-            if g0 is not None:
-                n, m = g0.shape
-        drift = v.mapping(
-            dyn["drift"], "scenario.dynamics.drift", ("kind",), ("matrix",))
-        if drift is not None:
-            drift_kind = drift["kind"]
-            if drift_kind == "zero":
-                if "matrix" in drift:
-                    v.fail("scenario.dynamics.drift.matrix",
-                           "not allowed when kind is 'zero'")
-            elif drift_kind == "linear":
-                if "matrix" not in drift:
-                    v.fail("scenario.dynamics.drift.matrix",
-                           "required when kind is 'linear'")
-                else:
-                    drift_matrix = v.matrix(
-                        drift["matrix"], "scenario.dynamics.drift.matrix",
-                        shape=None if n is None else (n, n))
-            else:
-                v.fail("scenario.dynamics.drift.kind",
-                       f"expected 'zero' or 'linear', got {drift_kind!r}")
-
-    # -- nominal controller ----------------------------------------------
-    gain = None
-    nominal_kind = "zero"
-    nom = v.mapping(doc["nominal"], "scenario.nominal", ("kind",), ("gain",))
-    if nom is not None:
-        nominal_kind = nom["kind"]
-        if nominal_kind == "zero":
-            if "gain" in nom:
-                v.fail("scenario.nominal.gain", "not allowed when kind is 'zero'")
-        elif nominal_kind == "linear_feedback":
-            if "gain" not in nom:
-                v.fail("scenario.nominal.gain",
-                       "required when kind is 'linear_feedback'")
-            else:
-                gain = v.matrix(
-                    nom["gain"], "scenario.nominal.gain",
-                    shape=None if n is None else (m, n))
-        else:
-            v.fail("scenario.nominal.kind",
-                   f"expected 'zero' or 'linear_feedback', got {nominal_kind!r}")
-
-    # -- controller parameters ---------------------------------------------
-    mode = None
-    p = None
-    H = None
-    ctl = v.mapping(doc["controller"], "scenario.controller",
-                    ("mode", "p", "cost_metric"))
-    if ctl is not None:
-        mode = ctl["mode"]
-        if mode not in MODES:
-            v.fail("scenario.controller.mode",
-                   f"expected one of {MODES}, got {mode!r}")
-        p = v.number(ctl["p"], "scenario.controller.p")
-        if p is not None and not p > 0.0:
-            v.fail("scenario.controller.p", f"p must be positive, got {p}")
-            p = None
-        H = v.matrix(ctl["cost_metric"], "scenario.controller.cost_metric",
-                     shape=None if m is None else (m, m))
-
-    # -- CLF -----------------------------------------------------------------
-    clf_node = doc["clf"]
-    clf_shape = clf_center = gamma_gain = None
-    if clf_node is not None:
-        clf_map = v.mapping(clf_node, "scenario.clf",
-                            ("shape", "center", "gamma_gain"))
-        if clf_map is not None:
-            clf_shape = v.matrix(clf_map["shape"], "scenario.clf.shape",
-                                 shape=None if n is None else (n, n))
-            clf_center = v.vector(clf_map["center"], "scenario.clf.center",
-                                  length=n)
-            gamma_gain = v.number(clf_map["gamma_gain"],
-                                  "scenario.clf.gamma_gain", positive=True)
-
-    # -- CBFs ----------------------------------------------------------------
-    cbf_specs = []
-    cbfs_node = doc["cbfs"]
-    if not isinstance(cbfs_node, list) or not cbfs_node:
-        v.fail("scenario.cbfs", "expected a non-empty list")
-    else:
-        for k, item in enumerate(cbfs_node):
-            path = f"scenario.cbfs[{k}]"
-            entry = v.mapping(item, path,
-                              ("shape", "center", "offset", "alpha_gain"))
-            if entry is None:
-                continue
-            shape = v.matrix(entry["shape"], f"{path}.shape",
-                             shape=None if n is None else (n, n))
-            center = v.vector(entry["center"], f"{path}.center", length=n)
-            offset = v.number(entry["offset"], f"{path}.offset")
-            alpha_gain = v.number(entry["alpha_gain"], f"{path}.alpha_gain",
-                                  positive=True)
-            cbf_specs.append((shape, center, offset, alpha_gain))
-
-    # -- initial states --------------------------------------------------
-    initial_states = []
-    xs_node = doc["initial_states"]
-    if not isinstance(xs_node, list):
-        v.fail("scenario.initial_states", "expected a list (possibly empty)")
-    else:
-        for k, item in enumerate(xs_node):
-            x = v.vector(item, f"scenario.initial_states[{k}]", length=n)
-            if x is not None:
-                initial_states.append(x)
-
-    # -- integration -------------------------------------------------------
-    dt = t_final = target = None
-    target_tol = 1e-3
-    integ = v.mapping(doc["integration"], "scenario.integration",
-                      ("dt", "t_final", "convergence"))
-    if integ is not None:
-        dt = v.number(integ["dt"], "scenario.integration.dt", positive=True)
-        t_final = v.number(integ["t_final"], "scenario.integration.t_final",
-                           positive=True)
-        conv = integ["convergence"]
-        if conv is not None:
-            conv_map = v.mapping(conv, "scenario.integration.convergence",
-                                 ("target", "tol"))
-            if conv_map is not None:
-                target = v.vector(conv_map["target"],
-                                  "scenario.integration.convergence.target",
-                                  length=n)
-                target_tol = v.number(conv_map["tol"],
-                                      "scenario.integration.convergence.tol",
-                                      positive=True)
-
-    # -- search ------------------------------------------------------------
-    box = None
-    boundary_seeds = interior_seeds = seed = None
-    search = v.mapping(doc["search"], "scenario.search",
-                       ("box", "boundary_seeds", "interior_seeds", "seed"))
-    if search is not None:
-        box = v.matrix(search["box"], "scenario.search.box",
-                       shape=None if n is None else (n, 2))
-        boundary_seeds = v.integer(search["boundary_seeds"],
-                                   "scenario.search.boundary_seeds", minimum=0)
-        interior_seeds = v.integer(search["interior_seeds"],
-                                   "scenario.search.interior_seeds", minimum=0)
-        seed = v.integer(search["seed"], "scenario.search.seed", minimum=0)
-
-    # -- tolerance overrides -----------------------------------------------
-    tolerances = Tolerances()
-    tol_node = doc.get("tolerances", {})
-    if tol_node is None:
-        tol_node = {}
-    if not isinstance(tol_node, dict):
-        v.fail("scenario.tolerances", "expected a mapping")
-    else:
-        known = set(Tolerances().to_dict())
-        overrides = {}
-        for key in sorted(tol_node):
-            if key not in known:
-                v.fail(f"scenario.tolerances.{key}", "unknown tolerance name")
-                continue
-            value = v.number(tol_node[key], f"scenario.tolerances.{key}",
-                             positive=True)
-            if value is not None:
-                overrides[key] = value
-        tolerances = Tolerances().replace(**overrides)
-
-    if v.problems:
-        raise ScenarioError(v.problems)
-
-    # -- construct library objects (their validators catch the rest) --------
-    try:
-        if drift_kind == "linear":
-            model = DynamicsModel.linear(drift_matrix, g0)
-        else:
-            model = DynamicsModel.driftless(g0)
-        if nominal_kind == "linear_feedback":
-            nominal = NominalController.linear_feedback(gain)
-        else:
-            nominal = NominalController.zero(m)
-        params = ControllerParams(mode=mode, p=p, cost_metric=H, nominal=nominal)
-        clf = gamma = None
-        if clf_node is not None:
-            clf = QuadraticCertificate.clf(clf_shape, clf_center)
-            gamma = ClassKappa(gamma_gain)
-        certificates = CertificateSet(
-            cbfs=tuple(QuadraticCertificate.barrier(s, c, offset=o)
-                       for s, c, o, _ in cbf_specs),
-            alphas=tuple(ClassKappa(a) for *_, a in cbf_specs),
-            clf=clf, gamma=gamma)
-        search_config = SearchConfig(
-            box=box, boundary_seeds=boundary_seeds,
-            interior_seeds=interior_seeds, seed=seed)
-        scenario = Scenario(
-            name=name, model=model, nominal=nominal, params=params,
-            certificates=certificates,
-            initial_states=tuple(initial_states),
-            dt=dt, t_final=t_final, target=target, target_tol=target_tol,
-            search=search_config, tolerances=tolerances,
-            description=description)
-        scenario.problem()  # exercise the cross-component dimension checks
-    except ToolkitError as exc:
-        raise ScenarioError([f"scenario: {exc}"]) from exc
-    return scenario
-
-
 def loads_scenario(text):
-    """Parse and validate scenario YAML text."""
+    """Parse scenario YAML text: ``Scenario`` of its document."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError([f"scenario: YAML parse error{where}: {exc}"]) from exc
-    return _parse_document(doc)
+    return Scenario(doc)
 
 
 def load_scenario(path):

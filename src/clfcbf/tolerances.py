@@ -20,8 +20,6 @@ class Tolerances:
     image: float = 1e-8
     #: relative singular-value threshold for rank decisions.
     rank: float = 1e-12
-    #: independently re-verified equilibrium residuals.
-    equilibrium: float = 1e-8
     #: joint-norm radius within which Newton roots are duplicates.
     dedup: float = 1e-6
     #: strict safe-set margin required of interior equilibria.
@@ -38,16 +36,6 @@ class Tolerances:
     newton_step: float = 1e-10
     #: natural-residual stop for the dual-ascent reference solver.
     oracle_residual: float = 1e-10
-
-    def replace(self, **overrides):
-        """Return a copy with the given fields overridden."""
-        known = {f.name for f in fields(self)}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise KeyError(f"unknown tolerance fields: {bad}")
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update({k: float(v) for k, v in overrides.items()})
-        return Tolerances(**values)
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -7,11 +7,14 @@ bundled deadlock scenario with a 100-step budget); the bundled-name
 resolution path is exercised by the search and audit subcommands, whose
 sample budgets are a few dozen states.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import yaml
 
-from clfcbf import AnalysisReport, load_bundled_scenario
+from clfcbf import AnalysisReport, SpectrumCheck, StabilityVerdict, load_bundled_scenario
+from clfcbf import cli
 from clfcbf.cli import (
     EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, _fmt_vec, _spectrum_entry, main)
 
@@ -348,3 +351,22 @@ def test_spectrum_entry_hides_the_noise_of_a_double_eigenvalue():
     assert entry == _spectrum_entry(real_pair) == [[-0.25, 0.0], [-1.0, 0.0], [-1.0, 0.0]]
     assert not any(np.signbit(v) for pair in entry for v in pair[1:])
     assert yaml.safe_dump(entry) == yaml.safe_dump(_spectrum_entry(real_pair))
+
+
+def test_equilibria_entry_hides_the_noise_of_mu_max_and_the_witness(monkeypatch):
+    # The report rounds mu_max and the witness to the table's 10 decimals,
+    # like the spectrum: a 1e-20 component and a signed zero both write 0.0.
+    verdict = StabilityVerdict(
+        verdict="unstable", mu_max=9.000000000000002,
+        witness=np.array([1e-20, -0.0, 1.0]), spectrum=np.array([9.0 + 0.0j]))
+    monkeypatch.setattr(cli, "classify", lambda *args: verdict)
+    monkeypatch.setattr(cli, "spectrum_cross_check",
+                        lambda *args: SpectrumCheck(agree=True, eigenvalues=np.array([9.0])))
+    rep = SimpleNamespace(
+        kind="boundary", indices=(1,), x_e=np.array([3.0, 0.0, 0.0]),
+        lambda_e=np.array([6.75]), lambda0_e=4.5, residual_field=0.0,
+        residual_boundary=0.0, validated=True, degenerate=False, failure_reason=None)
+    entry = cli._classify_entry(None, rep)
+    assert entry["mu_max"] == 9.0
+    assert entry["witness"] == [0.0, 0.0, 1.0]
+    assert yaml.safe_dump(entry["witness"]) == "- 0.0\n- 0.0\n- 1.0\n"

@@ -8,6 +8,7 @@ import yaml
 
 from clfcbf import (
     AnalysisReport,
+    Scenario,
     ScenarioError,
     bundled_scenario_names,
     bundled_scenario_path,
@@ -17,6 +18,7 @@ from clfcbf import (
     save_scenario,
     serialize_scenario,
 )
+from clfcbf.scenario import _SCHEMA
 from conftest import DATA_DIR
 
 BASE_DOC = {
@@ -247,3 +249,107 @@ def test_c_and_python_loaders_parse_documents_equal():
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+# -- one table: every node fails closed, and a Scenario is its document ---------
+
+#: BASE_DOC with every optional branch of the table taken: linear drift,
+#: linear-feedback nominal control and a convergence target.
+FULL_DOC = copy.deepcopy(BASE_DOC)
+FULL_DOC["dynamics"]["drift"] = {"kind": "linear",
+                                 "matrix": [[0.0, 1.0], [-1.0, 0.0]]}
+FULL_DOC["nominal"] = {"kind": "linear_feedback",
+                       "gain": [[-1.0, 0.0], [0.0, -1.0]]}
+FULL_DOC["controller"]["mode"] = "generalized"
+FULL_DOC["integration"]["convergence"] = {"target": [0.0, 0.0], "tol": 0.01}
+
+
+def _schema_nodes(spec, keys=(), path="scenario"):
+    """(keys into a document, problem path, is a mapping key) of every node
+    below ``spec``, walked from the table itself; lists at their item 0."""
+    if isinstance(spec, dict):
+        for key, sub in spec.items():
+            yield keys + (key,), f"{path}.{key}", True
+            yield from _schema_nodes(sub, keys + (key,), f"{path}.{key}")
+        return
+    form = spec if isinstance(spec, str) else spec[0]
+    if form == "list_of":
+        yield keys + (0,), f"{path}[0]", False
+        yield from _schema_nodes(spec[1], keys + (0,), f"{path}[0]")
+    elif form == "nullable":
+        yield from _schema_nodes(spec[1], keys, path)
+    elif form == "kind":
+        _, key, _, sub = spec
+        yield keys + ("kind",), f"{path}.kind", True
+        yield keys + (key,), f"{path}.{key}", True
+        yield from _schema_nodes(sub, keys + (key,), f"{path}.{key}")
+
+
+def test_every_schema_node_fails_closed():
+    loads_scenario(yaml.safe_dump(FULL_DOC))  # the unmutated document is valid
+    nodes = list(_schema_nodes(_SCHEMA))
+    assert len(nodes) == 36
+    for keys, path, is_key in nodes:
+        for delete in (False, True) if is_key else (False,):
+            doc = copy.deepcopy(FULL_DOC)
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            if delete:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = "bogus"
+            problems = _problems(yaml.safe_dump(doc))
+            assert any(p.startswith(f"{path}: ") for p in problems), (
+                path, delete, problems)
+
+
+@pytest.mark.parametrize("path", [
+    *(bundled_scenario_path(name) for name in ["deadlock2d", "fig1", "filter2d"]),
+    DATA_DIR / "dupcbf.scenario"])
+def test_scenario_is_rebuilt_from_its_own_document(path):
+    scenario = load_scenario(path)
+    again = Scenario(scenario.to_dict())
+    assert again == scenario
+    assert again.sha256() == scenario.sha256()
+
+
+def test_scenario_validates_the_document_it_is_built_from():
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario({"schema": 1, "name": "bare"})
+    assert "scenario.dynamics: missing required key" in excinfo.value.problems
+
+
+def test_non_string_kind_is_a_problem_not_a_type_error():
+    problems = _problems(_doc(**{"nominal.kind": ["zero"],
+                                 "dynamics.drift.kind": {"linear": 1}}))
+    assert ("scenario.nominal.kind: expected 'zero' or 'linear_feedback', "
+            "got ['zero']") in problems
+    assert ("scenario.dynamics.drift.kind: expected 'zero' or 'linear', "
+            "got {'linear': 1}") in problems
+
+
+def test_keys_of_mixed_types_are_reported_not_raised():
+    doc = copy.deepcopy(BASE_DOC)
+    doc[1] = "one"
+    doc["zz"] = "zed"
+    doc["tolerances"] = {2: 1.0, "zz": 1.0}
+    problems = _problems(yaml.safe_dump(doc))
+    for problem in ("scenario.1: unknown key", "scenario.zz: unknown key",
+                    "scenario.tolerances.2: unknown tolerance name",
+                    "scenario.tolerances.zz: unknown tolerance name"):
+        assert problem in problems
+
+
+def test_equilibrium_is_not_a_tolerance():
+    problems = _problems(_doc(tolerances={"equilibrium": 1e-8}))
+    assert problems == ["scenario.tolerances.equilibrium: unknown tolerance name"]
+
+
+def test_numbers_too_large_for_a_float_are_problems():
+    problems = _problems(_doc(**{"controller.p": 10**400,
+                                 "cbfs.0.center": [10**400, 0.0],
+                                 "search.box": [[-5.0, 5.0], [-5.0, 10**400]]}))
+    assert "scenario.controller.p: number too large" in problems
+    assert "scenario.cbfs[0].center: expected a list of numbers" in problems
+    assert "scenario.search.box: expected a list of rows of numbers" in problems

@@ -45,6 +45,15 @@ class ClassKappa:
         return self.gain
 
 
+def _require_symmetric(S, what):
+    """Reject a square matrix ``S`` with a non-finite entry, or with
+    |S - S^T| above 1e-12 anywhere."""
+    if not np.isfinite(S).all():
+        raise InvalidParameterError(f"{what} must be finite")
+    if np.abs(S - S.T).max() > 1e-12:
+        raise InvalidParameterError(f"{what} must be symmetric")
+
+
 @dataclass(frozen=True)
 class QuadraticCertificate:
     """Quadric ``(x - center)^T shape (x - center) + offset``."""
@@ -62,8 +71,7 @@ class QuadraticCertificate:
         if c.shape[0] != S.shape[0]:
             raise DimensionMismatchError(
                 f"center has dim {c.shape[0]}, shape is {S.shape}")
-        if not np.allclose(S, S.T, rtol=0.0, atol=1e-12):
-            raise InvalidParameterError("certificate shape matrix must be symmetric")
+        _require_symmetric(S, "certificate shape matrix")
         if self.kind == "clf":
             if float(self.offset) != 0.0:
                 raise InvalidParameterError("CLF offset must be 0")

@@ -447,6 +447,17 @@ def cmd_kkt_audit(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _sample_count(text):
+    """``--samples``: an integer >= 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="clfcbf",
@@ -462,7 +473,7 @@ def build_parser():
         sp.add_argument("--out", default=".",
                         help="output directory (created if missing)")
         if samples:
-            sp.add_argument("--samples", type=int, default=1000,
+            sp.add_argument("--samples", type=_sample_count, default=1000,
                             help="number of safe-state samples")
             sp.add_argument("--seed", type=int, default=None,
                             help="RNG seed (defaults to the scenario's)")

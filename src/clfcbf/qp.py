@@ -25,12 +25,18 @@ G = g H^{-1} g^T, and the row values at multipliers l are A l - b: the
 dual is a linear complementarity problem in (A, b).  :func:`solve_pointwise`
 enumerates its principal subsystems A[R, R] l_R = b[R] over candidate row
 sets R in ascending cardinality and accepts the first whose multipliers
-and row values satisfy every KKT condition; :func:`oracle_solve` maximizes
-the same dual by accelerated projected gradient ascent and shares no
-factorization with the direct path — it exists to audit the former.
+and row values satisfy every KKT condition.  The blocks have 1 to
+N + 1 <= 9 rows, nearly always 5 or fewer, where a NumPy call costs more
+than the arithmetic, so the solver reads (A, b) once per state as Python
+lists and solves every block there by Gaussian elimination with partial
+pivoting, with a least-squares fallback for a singular block.
+:func:`oracle_solve` maximizes the same dual by accelerated projected
+gradient ascent and shares no factorization with the direct path — it
+exists to audit the former.
 :func:`check_feasibility_condition` evaluates the sufficient feasibility
 certificate obtained by eliminating the CLF multiplier from the dual
-normal equations, the Schur complement of A on row 0.
+normal equations, the Schur complement of A on row 0.  All of them raise
+:class:`NumericalError` at a state where (A, b) is not finite.
 
 Modes
 -----
@@ -45,17 +51,19 @@ Modes
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import FrozenSet
 
 import numpy as np
 
-from .certificates import CertificateSet, _quadrics
+from .certificates import CertificateSet, _quadrics, _require_symmetric
 from .errors import (
     DimensionMismatchError,
     InfeasibleQPError,
     InvalidParameterError,
+    NumericalError,
     OracleFailureError,
 )
 from .systems import DynamicsModel, NominalController, _as_state, _eval_drift
@@ -98,8 +106,7 @@ class ControllerParams:
         if H.shape != (self.nominal.m, self.nominal.m):
             raise DimensionMismatchError(
                 f"cost_metric has shape {H.shape}, expected ({self.nominal.m},) * 2")
-        if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
-            raise InvalidParameterError("cost_metric must be symmetric")
+        _require_symmetric(H, "cost_metric")
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
@@ -150,6 +157,17 @@ class ControlProblem:
         Hinv_gT = np.linalg.solve(self.params.cost_metric, g.T)
         G = g @ Hinv_gT
         return g, Hinv_gT, 0.5 * (G + G.T)
+
+    @cached_property
+    def _dual_constants(self):
+        """(F, signs, signed gains), the constants of the dual's assembly:
+        F = :meth:`f_nom_jacobian`, so that f_nom = F x; the (N+1, 1) row
+        signs, -1 on the CLF row 0 and +1 on the barriers; and the table's
+        class-K gains times those signs."""
+        signs = np.ones((self.n_barriers + 1, 1))
+        signs[CLF_ROW] = -1.0
+        return (self.f_nom_jacobian(), signs,
+                signs[:, 0] * self.certificates.row_gains)
 
     def gram(self):
         """Symmetrized g H^{-1} g^T; the input map is constant."""
@@ -232,21 +250,22 @@ class QpSolution:
     def _audit(self):
         """Fill in ``kkt_residual``, and ``active_set`` if still unset, from
         the primal rows D^T (f + g u*) + s + delta* e_0."""
-        d = _PointData(self._problem, self._x)
-        g = d.problem._input_maps[0]
-        params = d.problem.params
+        problem, x = self._problem, self._x
+        d = _PointData(problem, x)
+        g = problem._input_maps[0]
+        params = problem.params
         l, u = self._l, self.u_star
-        rows = (d.f + g @ u) @ d.D + d.s
+        rows = (_eval_drift(problem.model, x) + g @ u) @ d.D + d.s
         rows[0] += self.delta_star
         # stationarity in u: H (u - u_nom) - g^T D l = 0
-        stationarity = params.cost_metric @ (u - d.u_nom) - self._Dl @ g
+        stationarity = params.cost_metric @ (u - problem.u_nom(x)) - self._Dl @ g
         self.__dict__["kkt_residual"] = max(
             float(abs(stationarity).max()),
             abs(params.p * self.delta_star - self.lambda0),
             float(max(0.0, -rows.min(), -l.min(), abs(l * rows).max())),
         )
         if "active_set" not in self.__dict__:
-            tight = np.abs(rows) <= d.problem.tolerances.active
+            tight = np.abs(rows) <= problem.tolerances.active
             if params.mode == "safety_filter":
                 tight[CLF_ROW] = True
             self.__dict__["active_set"] = frozenset(np.flatnonzero(tight).tolist())
@@ -278,11 +297,16 @@ class _PointData:
     (n, N+1) the row-signed gradients [-grad V | U] and ``s`` (N+1,) the
     signed margins (-gamma(V), alpha_1(h_1), ..), all from one evaluation
     of the N+1 rows of the certificate table (row 0 the zero quadric with
-    gain 0 in safety-filter mode); ``A`` and ``b`` are the dual matrices of
-    the module docstring, indexed like the table.
+    gain 0 in safety-filter mode); ``f_nom`` is the nominal field F x, and
+    ``A`` and ``b`` are the dual matrices of the module docstring, indexed
+    like the table.
+
+    Raises :class:`NumericalError` when (A, b) is not finite.  Every entry
+    of b reads every coordinate of x (through F x and the table rows), so
+    this includes every non-finite state.
     """
 
-    __slots__ = ("problem", "x", "f", "u_nom", "f_nom", "values", "D", "s", "A", "b")
+    __slots__ = ("problem", "x", "f_nom", "values", "D", "s", "A", "b")
 
     def __init__(self, problem, x):
         certs = problem.certificates
@@ -291,20 +315,19 @@ class _PointData:
         if x.shape != (problem.n,):
             raise DimensionMismatchError(
                 f"x has shape {x.shape}, expected ({problem.n},)")
-        g, _, G = problem._input_maps
-        self.f = _eval_drift(problem.model, x)
-        self.u_nom = problem.u_nom(x)
-        self.f_nom = self.f + g @ self.u_nom
+        F, signs, signed_gains = problem._dual_constants
+        self.f_nom = F @ x
         values, grads = _quadrics(certs.row_shapes, certs.row_centers,
                                   certs.row_offsets, x[None])
         self.values = values = values[0]
-        self.s = s = certs.row_gains * values
-        self.D = D = grads[0].T
-        s[0] = -s[0]
-        D[:, 0] = -D[:, 0]
-        self.A = D.T @ (G @ D)
-        self.A[0, 0] += 1.0 / problem.params.p
-        self.b = -(self.f_nom @ D + s)
+        self.s = s = signed_gains * values
+        self.D = D = (grads[0] * signs).T
+        self.A = A = D.T @ (problem._input_maps[2] @ D)
+        A[0, 0] += 1.0 / problem.params.p
+        self.b = b = -(self.f_nom @ D + s)
+        # on Python floats: cheaper than two NumPy reductions at these sizes
+        if not all(map(math.isfinite, A.ravel().tolist() + b.tolist())):
+            raise NumericalError(f"the QP's dual is not finite at x={x}")
 
 
 def _schur(d):
@@ -349,19 +372,48 @@ def _normalize_candidate(active, n_barriers, clf_optional):
 
 
 def _block_solve(A, b, R):
-    """l_R with A[R, R] l_R = b[R]: in closed form for one row, else by LU
-    with a least-squares fallback when the block is singular."""
-    if len(R) == 1:
-        a = A[R[0], R[0]]
-        return np.array([b[R[0]] / a if a != 0.0 else 0.0])
-    block, rhs = A[R][:, R], b[R]
-    try:
-        sol = np.linalg.solve(block, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(block, rhs, rcond=None)[0]
-    return sol
+    """l_R, a list, with A[R, R] l_R = b[R] for the dual as nested lists.
+
+    Gaussian elimination with partial pivoting, the first largest entry of
+    the column on or below the diagonal taken as pivot: LAPACK gesv's
+    algorithm, run on Python floats for every block size, the one-row
+    quotient b_r / a_rr included.  Up to 5 rows, the size of nearly every
+    block the walk meets, this costs less than the NumPy calls of one
+    ``np.linalg.solve``; at the largest, N + 1 = 9 rows, it costs more.
+    A zero pivot (the block is singular) or a non-finite result falls back
+    to the least-squares solution of the block.
+    """
+    n = len(R)
+    M = [[A[i][j] for j in R] + [b[i]] for i in R]
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(M[i][k]) > abs(M[p][k]):
+                p = i
+        pivot = M[p]
+        if pivot[k] == 0.0:
+            return _least_squares(A, b, R)
+        M[p], M[k] = M[k], pivot
+        for row in M[k + 1:]:
+            factor = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= factor * pivot[j]
+    l_R = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = M[k]
+        acc = row[n]
+        for j in range(k + 1, n):
+            acc -= row[j] * l_R[j]
+        l_R[k] = acc / row[k]
+    if all(map(math.isfinite, l_R)):
+        return l_R
+    return _least_squares(A, b, R)
+
+
+def _least_squares(A, b, R):
+    """The minimum-norm least-squares l_R of a singular block A[R, R]."""
+    block = np.array([[A[i][j] for j in R] for i in R])
+    return np.linalg.lstsq(block, np.array([b[i] for i in R]), rcond=None)[0].tolist()
 
 
 def solve_pointwise(problem, x, first_guess=None):
@@ -369,10 +421,12 @@ def solve_pointwise(problem, x, first_guess=None):
 
     Candidate active sets R are tried in ascending cardinality and
     lexicographic order (the CLF row always active in safety-filter mode).
-    Each solves the principal subsystem A[R, R] l_R = b[R] of the dual;
-    the first candidate whose multipliers are nonnegative and whose row
-    values A l - b are nonnegative, and zero on R, wins, which resolves
-    degenerate ties deterministically.
+    Each solves the principal subsystem A[R, R] l_R = b[R] of the dual
+    with :func:`_block_solve`, on the dual read once as Python lists; the
+    first candidate whose multipliers are nonnegative (up to a roundoff
+    clamp) and whose row values A l - b are nonnegative, and zero on R,
+    wins, which resolves degenerate ties deterministically.  Only the
+    winner's multipliers become an array.
 
     ``first_guess`` (an iterable of row indices, e.g. the active set of
     the solution at a nearby state) is tried before the enumeration; any
@@ -385,11 +439,13 @@ def solve_pointwise(problem, x, first_guess=None):
     InfeasibleQPError
         If no candidate satisfies the KKT conditions; carries the
         feasibility-certificate report for the state.
+    NumericalError
+        If the dual at ``x`` is not finite.
     """
     d = _PointData(problem, x)
     tol = problem.tolerances
-    A, b = d.A, d.b
-    n_barriers = b.shape[0] - 1
+    A, b = d.A.tolist(), d.b.tolist()
+    n_barriers = len(b) - 1
     clf_optional = problem.params.mode != "safety_filter"
     candidates = _candidate_active_sets(n_barriers, clf_optional)
     if first_guess is not None:
@@ -399,18 +455,21 @@ def solve_pointwise(problem, x, first_guess=None):
             candidates = itertools.chain(
                 (guess,), (c for c in candidates if c != guess))
     for candidate in candidates:
-        R = list(candidate)
-        l = np.zeros(n_barriers + 1)
-        if R:
-            l_R = _block_solve(A, b, R)
-            # dual feasibility, with a tiny clamp for roundoff
-            if l_R.min() < -tol.multiplier:
-                continue
-            l[R] = np.maximum(l_R, 0.0)
+        l_R = _block_solve(A, b, candidate)
+        # dual feasibility, with a tiny clamp for roundoff
+        if min(l_R, default=0.0) < -tol.multiplier:
+            continue
+        l_R = [v if v > 0.0 else 0.0 for v in l_R]
+        # row values A l - b, over the candidate's columns (l is 0 elsewhere)
+        rows = [sum([Ai[j] * v for j, v in zip(candidate, l_R)]) - bi
+                for Ai, bi in zip(A, b)]
         # every row feasible, and the candidate's rows tight
-        rows = A @ l - b
-        if rows.min() >= -tol.active and (not R or abs(rows[R]).max() <= tol.active):
-            return QpSolution(d, l, candidate)
+        if min(rows) >= -tol.active and all(
+                abs(rows[i]) <= tol.active for i in candidate):
+            l = [0.0] * (n_barriers + 1)
+            for i, v in zip(candidate, l_R):
+                l[i] = v
+            return QpSolution(d, np.array(l), candidate)
     raise InfeasibleQPError(
         f"no KKT-consistent active set at x={d.x}; QP infeasible",
         x=d.x, feasibility=_feasibility(d))

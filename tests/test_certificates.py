@@ -66,6 +66,21 @@ def test_clf_requires_positive_definite_shape():
         QuadraticCertificate.clf(shape=np.diag([1.0, -1.0]), center=np.zeros(2))
 
 
+def test_shape_must_be_finite_and_symmetric_to_1e_12():
+    # A non-finite entry is rejected before the symmetry test, which it
+    # would pass (inf - inf is NaN, and NaN > 1e-12 is false); asymmetry is
+    # measured entrywise.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        QuadraticCertificate.barrier(np.diag([np.inf, np.inf]), np.zeros(2))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        QuadraticCertificate.clf(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2))
+    skewed = np.array([[1.0, 0.5 + 2e-12], [0.5, 1.0]])
+    with pytest.raises(InvalidParameterError, match="symmetric"):
+        QuadraticCertificate.barrier(skewed, np.zeros(2))
+    nearly = np.array([[1.0, 0.5 + 5e-13], [0.5, 1.0]])
+    assert QuadraticCertificate.barrier(nearly, np.zeros(2)).shape[0, 1] == 0.5 + 5e-13
+
+
 def test_clf_vanishes_only_at_center():
     clf = QuadraticCertificate.clf(
         shape=np.diag([1.0, 3.0, 1.0]), center=np.array([0.5, 0.0, -1.0])

@@ -297,6 +297,16 @@ def test_kkt_audit_zero_samples_is_vacuous(tmp_path, capsys):
     assert report.sections["kkt_audit"]["vacuous"] is True
 
 
+@pytest.mark.parametrize("command", ["kkt-audit", "feasibility-scan"])
+@pytest.mark.parametrize("samples", ["-5", "five"])
+def test_sample_count_must_be_a_nonnegative_integer(command, samples, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--scenario", "deadlock2d", "--out", str(out), "--samples", samples]
+    assert main(argv) == EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

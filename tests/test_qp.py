@@ -23,8 +23,9 @@ from clfcbf import (
     solve_pointwise,
 )
 from clfcbf.cli import _sample_safe_states
-from clfcbf.errors import DimensionMismatchError, InfeasibleQPError
-from clfcbf.qp import _PointData, _schur
+from clfcbf.errors import (
+    DimensionMismatchError, InfeasibleQPError, InvalidParameterError, NumericalError)
+from clfcbf.qp import _block_solve, _PointData, _schur
 from clfcbf.systems import _eval_drift
 from oracles import barrier_gradients, deflated_reduced_system, deflation
 
@@ -413,6 +414,16 @@ def test_infeasible_solve_evaluates_the_state_once(assemblies):
     assert not err.value.feasibility.holds
 
 
+def test_cost_metric_must_be_finite_and_symmetric_to_1e_12(filter2d):
+    params = filter2d.params
+    with pytest.raises(InvalidParameterError, match="finite"):
+        replace(params, cost_metric=np.diag([np.inf, 1.0]))
+    with pytest.raises(InvalidParameterError, match="symmetric"):
+        replace(params, cost_metric=np.array([[2.0, 2e-12], [0.0, 1.0]]))
+    nearly = replace(params, cost_metric=np.array([[2.0, 5e-13], [0.0, 1.0]]))
+    assert nearly.cost_metric[0, 1] == 5e-13
+
+
 def test_gain_width_is_checked_at_construction(filter2d):
     # A 2 x 3 gain on a 2-state plant is rejected when the problem is
     # built, not at its first solve; the controller alone still checks
@@ -537,3 +548,126 @@ def test_every_first_guess_reproduces_the_cold_solve_at_eight_barriers():
             assert np.array_equal(warm.u_star, cold.u_star)
             assert warm.lambda0 == cold.lambda0
             assert np.array_equal(warm.lam, cold.lam)
+
+
+# --- the block solve on Python floats -----------------------------------------
+
+
+def _backward_error(M, rhs, sol):
+    """Normwise backward error |rhs - M sol| / (|M| |sol| + |rhs|), inf-norms."""
+    residual = np.max(np.abs(rhs - M @ sol))
+    return residual / (np.max(np.abs(M).sum(axis=1)) * np.max(np.abs(sol))
+                       + np.max(np.abs(rhs)))
+
+
+def test_block_solve_is_backward_stable_on_random_blocks():
+    # Partial pivoting is backward stable whatever the conditioning, so on
+    # SPD, rank-deficient PSD, ill-conditioned and indefinite blocks (the
+    # last need the row swaps) the kernel's backward error stays at
+    # roundoff level, unless elimination meets an exact zero pivot and the
+    # block's least-squares solution is returned.
+    # Where the block is nonsingular the kernel agrees with LAPACK's solve
+    # to within cond times that level.  Each block is a principal subsystem
+    # of a larger matrix (rows R, in order), as in the walk.
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for size in range(1, 10):
+        for kind in ("spd", "psd", "ill", "indefinite"):
+            for _ in range(20):
+                n = size + 2
+                B = rng.standard_normal((n, n))
+                if kind == "spd":
+                    A = B @ B.T + 0.1 * np.eye(n)
+                elif kind == "psd":
+                    # rank max(1, size - 1): singular blocks from size 2 on
+                    k = max(1, size - 1)
+                    A = B[:, :k] @ B[:, :k].T
+                elif kind == "ill":
+                    Q = np.linalg.qr(B)[0]
+                    A = (Q * np.logspace(0, -11, n)) @ Q.T
+                else:
+                    A = B + B.T
+                    A[0, 0] = 1e-14  # a tiny leading pivot
+                A = 0.5 * (A + A.T)
+                b = rng.standard_normal(n)
+                R = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+                sol = np.array(_block_solve(A.tolist(), b.tolist(), R))
+                M, rhs = A[np.ix_(R, R)], b[list(R)]
+                assert sol.shape == (size,) and np.all(np.isfinite(sol))
+                if _backward_error(M, rhs, sol) > 16 * size * eps:
+                    assert kind == "psd" and size > 1, (size, kind)
+                    assert np.array_equal(sol, np.linalg.lstsq(M, rhs, rcond=None)[0])
+                if kind != "psd":
+                    ref = np.linalg.solve(M, rhs)
+                    bound = np.linalg.cond(M) * 16 * size * eps
+                    assert np.max(np.abs(sol - ref)) <= bound * np.max(np.abs(ref))
+
+
+def test_singular_blocks_take_the_least_squares_fallback(dupcbf, monkeypatch):
+    # An exact zero pivot sends the block to lstsq: a zero 1 x 1 block (whose
+    # minimum-norm solution 0 is the old one-row closed form's), and the
+    # duplicated barrier, whose two rows are equal bit for bit.
+    import clfcbf.qp as qp
+
+    fallbacks = []
+    least_squares = qp._least_squares
+
+    def counting(A, b, R):
+        fallbacks.append(tuple(R))
+        return least_squares(A, b, R)
+
+    monkeypatch.setattr(qp, "_least_squares", counting)
+    assert _block_solve([[0.0, 1.0], [1.0, 2.0]], [3.0, 1.0], (0,)) == [0.0]
+    assert fallbacks == [(0,)]
+    fallbacks.clear()
+    x = np.array([3.2, 0.3])
+    d = _PointData(dupcbf, x)
+    A, b = d.A.tolist(), d.b.tolist()
+    assert A[1] == A[2] and b[1] != b[2]
+    for R in ((1, 2), (0, 1, 2)):
+        l_R = _block_solve(A, b, R)
+        ref = np.linalg.lstsq(d.A[np.ix_(R, R)], d.b[list(R)], rcond=None)[0]
+        assert np.array_equal(l_R, ref)
+    assert fallbacks == [(1, 2), (0, 1, 2)]
+    fallbacks.clear()
+    # both copies as the warm guess: the first candidate tried is singular
+    sol = solve_pointwise(dupcbf, x, first_guess={0, 1, 2})
+    assert fallbacks[0] == (0, 1, 2)
+    assert np.max(np.abs(sol.u_star - oracle_solve(dupcbf, x).u_star)) <= 1e-6
+
+
+def test_cold_solve_at_eight_barriers_makes_no_lapack_solve(monkeypatch):
+    # Every candidate of the walk (up to 2^9 of them here) is solved on
+    # Python floats; H^{-1} g^T, formed once per problem, is built first.
+    problem, centers = _ring_of_discs()
+    problem.gram()
+    solves = []
+    linalg_solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return linalg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for x in (centers[0] * 1.33, 1.3 * (centers[0] + centers[1]), np.array([0.4, -0.3])):
+        solve_pointwise(problem, x)
+    assert solves == []
+
+
+# --- non-finite states fail closed ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["deadlock2d", "fig1", "filter2d", "dupcbf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_non_finite_states_raise_a_numerical_error(name, value, request, capfd):
+    # A non-finite state, or one so large its dual overflows, fails closed in
+    # every entry point with the typed error, before any solve or SVD runs
+    # (LAPACK would otherwise report an illegal value on stderr).
+    problem = request.getfixturevalue(f"{name}_scenario").problem()
+    entry_points = (solve_pointwise, check_feasibility_condition, oracle_solve,
+                    closed_loop_field)
+    for x in (np.full(problem.n, value), np.r_[value, np.ones(problem.n - 1)]):
+        for entry in entry_points:
+            with pytest.raises(NumericalError, match="not finite"):
+                entry(problem, x)
+    assert capfd.readouterr().err == ""

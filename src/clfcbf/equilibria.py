@@ -10,18 +10,22 @@ at an equilibrium it equals p gamma(V)).  Interior equilibria zero
 ``f_nom - p gamma(V) G grad V`` strictly inside the safe set.
 
 :func:`find_boundary_equilibria` runs a damped Newton method on the
-augmented system [f_A; h_A] from boundary-sampled seeds with NNLS
-multiplier estimates; every deduplicated root is validated against the
-actual QP solution at the root (:func:`validate_equilibrium`).
-:func:`find_interior_equilibria` draws no seeds: it enumerates every
-interior root from one eigenvalue problem and polishes each by Newton.
+augmented system [f_A; h_A] with NNLS multiplier estimates, and every
+deduplicated root is validated against the actual QP solution at the root
+(:func:`validate_equilibrium`).  For one active ellipsoidal barrier, a
+nonsingular G, and either a CLF with f_nom = 0 or no CLF, Newton starts at
+every root enumerated from one quadratic eigenvalue problem
+(:func:`_boundary_candidates`); every other search starts from seeds
+sampled on the boundary.  :func:`find_interior_equilibria` draws no seeds:
+it enumerates every interior root from one eigenvalue problem and polishes
+each by Newton.
 
-Both searches run Newton in lockstep (:func:`_newton`): all seeds advance
+Both searches run Newton in lockstep (:func:`_newton`): all starts advance
 together on one stacked linear solve per iteration, with the full steps
 in one stacked evaluation of the system and every remaining halving in a
-second, while each seed keeps its own residual, step and step halvings.
-The evaluation computes every row exactly as it would alone, so a seed's
-root is the same bit for bit as from a Newton run on that seed by itself.
+second, while each start keeps its own residual, step and step halvings.
+The evaluation computes every row exactly as it would alone, so a start's
+root is the same bit for bit as from a Newton run on that start by itself.
 """
 
 from dataclasses import dataclass, replace
@@ -55,11 +59,15 @@ class SearchConfig:
     """Multistart and Newton settings for equilibrium searches.
 
     ``boundary_seeds`` is the seed count per active-index set of the
-    boundary search, drawn from ``numpy.random.default_rng(seed)``.
-    ``box`` is an (n, 2) array of [low, high] bounds the CLI samplers draw
-    from.  The interior search enumerates its roots and draws no seeds:
-    ``interior_seeds`` is accepted for scenario schema 1 and unused, and
-    neither ``seed`` nor ``box`` affects it.  ``newton_max_iter`` and
+    boundary searches that still sample their starts, drawn from
+    ``numpy.random.default_rng(seed)``: those with two or more active
+    barriers and the one-barrier searches outside the enumeration of
+    :func:`find_boundary_equilibria`.  A one-barrier search that enumerates
+    its roots reads neither.  ``box`` is an (n, 2) array of [low, high]
+    bounds the CLI samplers draw from.  The interior search enumerates its
+    roots and draws no seeds: ``interior_seeds`` is accepted for scenario
+    schema 1 and unused, and neither ``seed`` nor ``box`` affects it.
+    ``newton_max_iter`` and
     ``max_halvings`` bound the Newton run from every seed, the interior
     polish included.  The seeds of one search advance in lockstep, but
     each stops on its own bounds, and its root does not depend on the
@@ -312,14 +320,19 @@ def _report_order(report):
 def find_boundary_equilibria(problem, indices, config):
     """Locate boundary equilibria for one active-index set.
 
-    ``config.boundary_seeds`` points are drawn on the first active
-    boundary and, when |A| > 1, projected onto the others.  Each seed
-    starts Newton on the augmented system [f_A; h_A] from a nonnegative
-    least-squares multiplier estimate.  All seeds advance together: one
-    stacked solve per Newton iteration, the full steps in one stacked
-    evaluation and every remaining halving in a second, yet every seed
-    takes exactly the steps it would take alone, so the roots do not
-    depend on how many seeds share the search.
+    With one active barrier whose shape is positive definite and offset
+    negative, a nonsingular G, and either no CLF (with F nonsingular) or
+    f_nom = 0, the Newton starts are every root enumerated from one
+    quadratic eigenvalue problem (:func:`_boundary_candidates`), and
+    ``config.boundary_seeds`` and ``config.seed`` are not read.  Otherwise
+    ``config.boundary_seeds`` points are drawn on the first active boundary
+    and, when |A| > 1, projected onto the others.  Each start runs Newton
+    on the augmented system [f_A; h_A] from a nonnegative least-squares
+    multiplier estimate.  All starts advance together: one stacked solve
+    per Newton iteration, the full steps in one stacked evaluation and
+    every remaining halving in a second, yet every start takes exactly the
+    steps it would take alone, so the roots do not depend on how many
+    starts share the search.
 
     Parameters
     ----------
@@ -331,10 +344,11 @@ def find_boundary_equilibria(problem, indices, config):
     Returns
     -------
     list of EquilibriumReport
-        Deduplicated in seed order, validated, and sorted by x_e rounded
-        to 9 decimals (ties keep seed order).  Roots with any multiplier
-        below -1e-6 are discarded; an empty list means the seeded
-        intersection was empty or Newton found nothing.
+        Deduplicated in start order, validated, and sorted by x_e rounded
+        to 9 decimals (ties keep start order).  Roots with any multiplier
+        below -1e-6 are discarded; an empty list means no root was
+        enumerated, or the seeded intersection was empty or Newton found
+        nothing.
     """
     certs = problem.certificates
     indices = _check_indices(indices, certs.n_barriers)
@@ -343,11 +357,13 @@ def find_boundary_equilibria(problem, indices, config):
     r = len(indices)
     n = problem.n
     tol = problem.tolerances
-    rng = np.random.default_rng(config.seed)
 
-    seeds = _boundary_samples(certs.cbfs[indices[0] - 1], config.boundary_seeds, rng)
-    if r > 1:
-        seeds = _project_to_boundaries(certs, indices, seeds)
+    seeds = _boundary_candidates(problem, indices[0]) if r == 1 else None
+    if seeds is None:
+        rng = np.random.default_rng(config.seed)
+        seeds = _boundary_samples(certs.cbfs[indices[0] - 1], config.boundary_seeds, rng)
+        if r > 1:
+            seeds = _project_to_boundaries(certs, indices, seeds)
     if not seeds.shape[0]:
         return []
 
@@ -489,7 +505,8 @@ def _solutions_at(tau, F, B, Q, beta, w, rhs, isolated):
     solutions that also solve (F - tau B) y = -w to _POLISH_RTOL.  When
     ``isolated`` (rhs = w), a null space of dimension >= 2 that meets the
     quadric in more than one point raises PreconditionError; otherwise a
-    null space of dimension >= 2 gives nothing.
+    null space of dimension >= 2 gives nothing.  With beta = tau / rho the
+    quadric is the boundary y^T Q y = rho of the one-barrier enumeration.
     """
     M = F - tau * B
     U, sv, Vt = np.linalg.svd(M)
@@ -588,6 +605,74 @@ def _interior_candidates(problem):
             candidates += [c + y for y in _solutions_at(
                 tau, F, B, Q, beta, w, rhs, isolated_here)]
     return candidates
+
+
+def _boundary_candidates(problem, i):
+    """Every root x with a positive multiplier of the one-barrier search on
+    barrier i, to eigenvalue accuracy; None where the enumeration does not
+    apply.
+
+    With y = x - c on the boundary y^T S y = rho of h_i = y^T S y - rho and
+    G nonsingular, a root with multiplier lam > 0 solves M(t) y = w with
+    M(t) = M0 + t M1 and t > 0: with a CLF and f_nom = 0,
+    (Q_V - t S) y = Q_V (c_V - c) and t = lam / (p gamma(V)); without a CLF,
+    (F + 2 t G S) y = -F c and t = lam.  So t is a real positive
+    eigenvalue of the quadratic matrix polynomial
+    rho M(t) S^{-1} M(t)^T - w w^T (Gander, Golub & von Matt, 1989), whose
+    leading coefficient rho M1 S^{-1} M1^T is nonsingular.  At each such t
+    the candidates are the solutions of M(t) y = w on the boundary
+    (:func:`_solutions_at` with beta = t / rho, its null-space term
+    included).
+
+    None, for the seeded multistart to take over, when S is not positive
+    definite, rho <= 0, G is singular, a CLF comes with f_nom != 0, F is
+    singular without a CLF (boundary points in its null space are roots
+    with lam = 0), w = 0 (every root is a null vector of M(t)), the
+    polynomial is singular, or the roots at some t form a continuum.
+    """
+    certs = problem.certificates
+    rank = problem.tolerances.rank
+    cbf = certs.cbfs[i - 1]
+    S, c, rho = cbf.shape, cbf.center, -cbf.offset
+    F, G = problem.f_nom_jacobian(), problem.gram()
+
+    def singular(A):
+        sv = np.linalg.svd(A, compute_uv=False)
+        return sv[-1] <= rank * float(sv[0])
+
+    if rho <= 0.0 or singular(G):
+        return None
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    if certs.has_clf:
+        if F.any():
+            return None
+        Q = certs.clf.shape
+        M0, M1, w = Q, -S, Q @ (certs.clf.center - c)
+    else:
+        if singular(F):
+            return None
+        M0, M1, w = F, 2.0 * G @ S, -F @ c
+    if not w.any():
+        return None
+    cross = M0 @ np.linalg.solve(S, M1.T)
+    P = (rho * M0 @ np.linalg.solve(S, M0.T) - np.outer(w, w),
+         rho * (cross + cross.T),
+         rho * M1 @ np.linalg.solve(S, M1.T))
+    spectrum = _positive_eigenvalues(P, rank)
+    if spectrum is None:
+        return None
+    candidates = []
+    for t in spectrum[0]:
+        try:
+            candidates += [c + y for y in _solutions_at(
+                t, M0, -M1, S, t / rho, -w, -w, True)]
+        except PreconditionError:
+            # a continuum of roots at t, which seeds can sample
+            return None
+    return np.array(candidates).reshape(-1, problem.n)
 
 
 def find_interior_equilibria(problem, config):

@@ -66,7 +66,7 @@ from .errors import (
     NumericalError,
     OracleFailureError,
 )
-from .systems import DynamicsModel, NominalController, _as_state, _eval_drift
+from .systems import DynamicsModel, NominalController, _eval_drift
 from .tolerances import Tolerances
 
 __all__ = [
@@ -172,11 +172,6 @@ class ControlProblem:
     def gram(self):
         """Symmetrized g H^{-1} g^T; the input map is constant."""
         return self._input_maps[2]
-
-    def f_nom(self, x):
-        """Nominal closed-loop field f(x) + g u_nom(x)."""
-        x = _as_state(x, self.n)
-        return _eval_drift(self.model, x) + self.model.input_matrix @ self.u_nom(x)
 
     def f_nom_jacobian(self):
         """State Jacobian of the nominal field: the constant A + g K."""

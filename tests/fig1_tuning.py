@@ -36,14 +36,17 @@ SEARCH = SearchConfig(
 )
 
 
-def build_problem(clf_diag, gamma_gain=0.25):
+def build_problem(clf_diag, gamma_gain=0.25, obstacle_diag=None):
+    """The fig1 plant with CLF diag(``clf_diag``) and both obstacles
+    diag(``obstacle_diag``), by default the bundled diag(0.5, 1, 4)."""
+    shape = OBSTACLE_SHAPE if obstacle_diag is None else np.diag(obstacle_diag)
     certificates = CertificateSet(
         cbfs=(
             QuadraticCertificate.barrier(
-                shape=OBSTACLE_SHAPE, center=np.array([-1.0, 0.0, 3.0]), offset=-1.0
+                shape=shape, center=np.array([-1.0, 0.0, 3.0]), offset=-1.0
             ),
             QuadraticCertificate.barrier(
-                shape=OBSTACLE_SHAPE, center=np.array([1.0, 0.0, 3.0]), offset=-1.0
+                shape=shape, center=np.array([1.0, 0.0, 3.0]), offset=-1.0
             ),
         ),
         alphas=(ClassKappa(1.0), ClassKappa(1.0)),

@@ -1,9 +1,11 @@
 """Test-only reference implementations the library is checked against.
 
-``barrier_gradients`` stacks each barrier's own ``gradient``, the U_A the
-checks compare against; ``frozen_multiplier_jacobian`` is the
-multiplier-frozen Jacobian summed certificate by certificate from each
-Hessian, the reference for the stacked ``JacobianBundle.J_A``;
+``nominal_field`` is f + g u_nom, the reference for the constant
+``ControlProblem.f_nom_jacobian``; ``barrier_gradients`` stacks each
+barrier's own ``gradient``, the U_A the checks compare against;
+``frozen_multiplier_jacobian`` is the multiplier-frozen Jacobian summed
+certificate by certificate from each Hessian, the reference for the
+stacked ``JacobianBundle.J_A``;
 ``deflation`` is the CLF-gradient deflation P_V = I - G grad V grad V^T / c
 and ``deflated_reduced_system`` the reduced dual system
 U_A^T P_V G U_A y = b2 written with it, the reference for the Schur
@@ -18,7 +20,11 @@ evaluation calls, kept to show that the lockstep run returns every seed's
 root bit for bit; ``multistart_interior_equilibria`` is the
 rejection-sampled multistart Newton search that the eigenvalue
 enumeration of ``find_interior_equilibria`` replaced, kept to show that
-the enumeration finds every root the multistart finds;
+the enumeration finds every root the multistart finds, and
+``multistart_boundary_equilibria`` is the seeded boundary search that
+the one-barrier enumeration of ``find_boundary_equilibria`` replaced,
+kept for the same check and as the search every other boundary search
+still runs;
 ``reference_integrate`` is the RK4 loop as it stood before each sample
 read h and V off its own solve (``values`` per sample, every sample solved
 at the top of the loop), kept to show that every trajectory field is
@@ -26,7 +32,9 @@ unchanged bit for bit.
 """
 import numpy as np
 
+import clfcbf.equilibria as equilibria
 from clfcbf import (
+    EquilibriumReport,
     InfeasibleQPError,
     IntegrationError,
     Termination,
@@ -35,9 +43,18 @@ from clfcbf import (
     equilibrium_field,
     equilibrium_field_jacobian,
     solve_pointwise,
+    validate_equilibrium,
 )
 from clfcbf.simulate import BLOWUP_LIMIT, CONVERGENCE_WINDOW
-from clfcbf.systems import _eval_drift
+from clfcbf.stability import _EquilibriumSystem
+from clfcbf.systems import _as_state, _eval_drift
+
+
+def nominal_field(problem, x):
+    """The nominal closed-loop field f(x) + g u_nom(x), from the plant's
+    drift and the nominal controller's own call."""
+    x = _as_state(x, problem.n)
+    return _eval_drift(problem.model, x) + problem.model.input_matrix @ problem.u_nom(x)
 
 
 def barrier_gradients(problem, x, indices=None):
@@ -107,7 +124,7 @@ def deflated_reduced_system(problem, x, indices):
     U_A = barrier_gradients(problem, x, indices)
     alpha_A = np.array([certs.alphas[i - 1].value(certs.barrier(i).value(x))
                         for i in indices])
-    f_nom = _eval_drift(problem.model, x) + problem.model.input_matrix @ problem.u_nom(x)
+    f_nom = nominal_field(problem, x)
     M = U_A.T @ P_V @ G @ U_A
     b2 = U_A.T @ ((gamma_v / c) * (G @ grad_v) - P_V @ f_nom) - alpha_A
     return 0.5 * (M + M.T), b2
@@ -305,6 +322,52 @@ def multistart_interior_equilibria(problem, config):
         kept.append(x_e)
     kept.sort(key=tuple)
     return kept
+
+
+def multistart_boundary_equilibria(problem, indices, config):
+    """Boundary equilibria by lockstep Newton from seeded boundary samples.
+
+    ``config.boundary_seeds`` points drawn from
+    ``numpy.random.default_rng(config.seed)`` on the first active boundary,
+    projected onto the others, each with its nonnegative least-squares
+    multiplier fit; the roots are deduplicated, filtered, validated and
+    sorted like the library's search.  Returns the reports.
+    """
+    certs = problem.certificates
+    indices = tuple(int(i) for i in indices)
+    n, r = problem.n, len(indices)
+    tol = problem.tolerances
+    rng = np.random.default_rng(config.seed)
+    seeds = equilibria._boundary_samples(
+        certs.cbfs[indices[0] - 1], config.boundary_seeds, rng)
+    if r > 1:
+        seeds = equilibria._project_to_boundaries(certs, indices, seeds)
+    if not seeds.shape[0]:
+        return []
+    system = _EquilibriumSystem(problem, indices)
+    F0, J0 = system(np.hstack([seeds, np.zeros((seeds.shape[0], r))]))
+    lam0 = np.array([equilibria._nnls(J0[k, :n, n:], -F0[k, :n])
+                     for k in range(seeds.shape[0])])
+    roots = []
+    for z in equilibria._newton(system, np.hstack([seeds, lam0]),
+                                tol.newton_residual, tol.newton_step,
+                                config.newton_max_iter, config.max_halvings):
+        if z is None or float(np.min(z[n:])) < -1e-6:
+            continue
+        if not any(np.linalg.norm(z - seen) <= tol.dedup for seen in roots):
+            roots.append(z)
+    reports = []
+    for z in roots:
+        F = system(z[None])[0][0]
+        x_e, lam = z[:n], z[n:]
+        reports.append(validate_equilibrium(problem, EquilibriumReport(
+            x_e=x_e, kind="boundary", indices=indices, lambda_e=lam,
+            lambda0_e=equilibria._clf_multiplier(problem, x_e),
+            residual_field=float(np.max(np.abs(F[:n]))),
+            residual_boundary=float(np.max(np.abs(F[n:]))),
+            degenerate=bool(np.any(np.abs(lam) <= tol.validate)))))
+    reports.sort(key=equilibria._report_order)
+    return reports
 
 
 def reference_integrate(problem, x0, dt=1e-3, t_final=20.0, target=None,

@@ -8,6 +8,7 @@ import pytest
 
 import clfcbf.equilibria as equilibria
 import clfcbf.stability as stability
+import fig1_tuning
 from clfcbf import (
     MODES,
     CertificateSet,
@@ -33,6 +34,7 @@ from clfcbf import (
 from clfcbf.cli import _sample_safe_states
 from oracles import (
     barrier_gradients,
+    multistart_boundary_equilibria,
     multistart_interior_equilibria,
     newton,
     public_system,
@@ -294,6 +296,18 @@ def test_interior_enumeration_contains_every_multistart_root():
     assert reference_roots >= 80 and off_centre >= 30
 
 
+def _assert_same_reports(first, other):
+    """Equal report lists, every field bit for bit."""
+    assert len(other) == len(first)
+    for a, b in zip(first, other):
+        for name in a.__dataclass_fields__:
+            va, vb = getattr(a, name), getattr(b, name)
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb), name
+            else:
+                assert va == vb, name
+
+
 def test_interior_reports_ignore_seed_count_seed_and_box(fig1, filter2d):
     # The enumeration draws no seeds: interior_seeds, seed and box are
     # accepted for schema 1 and change nothing, bit for bit.
@@ -306,14 +320,7 @@ def test_interior_reports_ignore_seed_count_seed_and_box(fig1, filter2d):
                    SearchConfig(box=[[-40.0, 1.0]] * n, interior_seeds=0, seed=3)]
         first, *rest = [find_interior_equilibria(problem, c) for c in configs]
         for other in rest:
-            assert len(other) == len(first)
-            for a, b in zip(first, other):
-                for name in a.__dataclass_fields__:
-                    va, vb = getattr(a, name), getattr(b, name)
-                    if isinstance(va, np.ndarray):
-                        assert np.array_equal(va, vb), name
-                    else:
-                        assert va == vb, name
+            _assert_same_reports(first, other)
 
 
 def _small_problem(A, g, Q=None, center=None, mode="clf_cbf"):
@@ -427,6 +434,179 @@ def test_finder_is_deterministic(deadlock2d):
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.x_e, rb.x_e)
         assert np.array_equal(ra.lambda_e, rb.lambda_e)
+
+
+# --- one-barrier enumeration -----------------------------------------------------
+
+
+def random_one_barrier_problem(rng, n, N, mode):
+    """A problem the one-barrier enumeration covers: f_nom = 0 in the CLF
+    modes (``generalized`` with a zero gain) and f_nom = -P x with P SPD
+    without a CLF; random SPD CLF shape, cost metric and obstacle shapes,
+    a random nonsingular input map, and N obstacles 1.5-3.5 from the
+    origin with offsets in [-1.5, -0.5]."""
+    while True:
+        g = rng.normal(size=(n, n))
+        if np.linalg.cond(g) < 10.0:
+            break
+    model = (DynamicsModel.linear(-_spd(rng, n, 0.3, 2.0), g) if mode == "safety_filter"
+             else DynamicsModel.driftless(g))
+    cbfs = []
+    for _ in range(N):
+        direction = rng.normal(size=n)
+        direction /= np.linalg.norm(direction)
+        cbfs.append(QuadraticCertificate.barrier(
+            _spd(rng, n, 0.3, 3.0), rng.uniform(1.5, 3.5) * direction,
+            -rng.uniform(0.5, 1.5)))
+    clf = gamma = None
+    if mode != "safety_filter":
+        clf = QuadraticCertificate.clf(_spd(rng, n, 0.2, 3.0), rng.uniform(-1.0, 1.0, n))
+        gamma = ClassKappa(rng.uniform(0.25, 2.0))
+    certificates = CertificateSet(
+        cbfs=tuple(cbfs), alphas=tuple(ClassKappa(rng.uniform(0.5, 2.0)) for _ in cbfs),
+        clf=clf, gamma=gamma)
+    params = ControllerParams(mode=mode, p=rng.uniform(0.5, 2.0),
+                              cost_metric=_spd(rng, n, 0.5, 2.0),
+                              nominal=NominalController.zero(n))
+    return ControlProblem(model=model, certificates=certificates, params=params)
+
+
+def test_one_barrier_enumeration_contains_every_multistart_root():
+    # The reference is the 64-seed multistart the enumeration replaced:
+    # every validated root it finds is an enumerated Newton start, and is
+    # reported validated unless that start already sits at the rounding
+    # floor of the field.  There, Newton's absolute residual test (1e-12)
+    # needs a rounding draw below the floor, which some of the multistart's
+    # many paths into the same root happen to get and one start does not.
+    rng = np.random.default_rng(2025)
+    eps = np.finfo(float).eps
+    reference_roots = extra = at_floor = 0
+    for n, N, mode, _ in itertools.product((2, 3, 4), (1, 2, 3), MODES, range(3)):
+        problem = random_one_barrier_problem(rng, n, N, mode)
+        config = SearchConfig(box=[[-4.0, 4.0]] * n, boundary_seeds=64, seed=n + N)
+        for i in range(1, N + 1):
+            starts = equilibria._boundary_candidates(problem, i)
+            found = [rep.x_e for rep in find_boundary_equilibria(problem, (i,), config)
+                     if rep.validated]
+            reference = [rep for rep in multistart_boundary_equilibria(problem, (i,), config)
+                         if rep.validated]
+            for rep in reference:
+                reference_roots += 1
+                assert np.min(np.linalg.norm(starts - rep.x_e, axis=1)) <= 1e-6
+                if any(np.linalg.norm(rep.x_e - x) <= 1e-6 for x in found):
+                    continue
+                at_floor += 1
+                start = starts[np.argmin(np.linalg.norm(starts - rep.x_e, axis=1))]
+                system = stability._EquilibriumSystem(problem, (i,))
+                F, J = system(np.append(start, 0.0)[None])
+                lam = equilibria._nnls(J[0, :n, n:], -F[0, :n])
+                F, J = system(np.append(start, lam)[None])
+                term = float(np.max(np.abs(J[0, :n, n:] @ lam)))
+                assert float(np.max(np.abs(F))) <= 8.0 * eps * term, (rep.x_e, lam)
+            extra += sum(not any(np.linalg.norm(rep.x_e - x) <= 1e-6 for rep in reference)
+                         for x in found)
+    # 156 reference roots over the three modes; the enumeration reports 23
+    # validated roots the multistart misses, and leaves 1 at the floor
+    assert reference_roots >= 140 and extra >= 15, (reference_roots, extra, at_floor)
+
+
+def test_enumeration_finds_the_far_pole_the_seeded_search_misses():
+    # A census fig1 member: its 16 seeds find the barrier-1 far pole but
+    # miss the barrier-2 one.  With f_nom = 0 and G nonsingular the
+    # equilibrium condition p gamma(V) Q x = lam S (x - c) does not involve
+    # G, so the barrier-2 pole mirrors the barrier-1 pole in x_1.
+    problem = fig1_tuning.build_problem(
+        (1.7576073913178947, 3.039267639391003, 1.0893529771333303),
+        obstacle_diag=(0.49402317851509636, 0.9392251529849198, 3.9811181002195073))
+    config = SearchConfig(box=[[-3.0, 3.0], [-3.0, 3.0], [0.0, 6.0]],
+                          boundary_seeds=16, interior_seeds=8, seed=505509199)
+    assert not [rep for rep in multistart_boundary_equilibria(problem, (2,), config)
+                if rep.validated]
+    (left,) = [rep for rep in find_boundary_equilibria(problem, (1,), config)
+               if rep.validated]
+    (right,) = [rep for rep in find_boundary_equilibria(problem, (2,), config)
+                if rep.validated]
+    assert np.allclose(right.x_e, [2.3665776, 0.0, 3.13942904], atol=1e-7)
+    assert right.lambda_e[0] == pytest.approx(31.69981763, abs=1e-7)
+    assert np.allclose(right.x_e * [-1.0, 1.0, 1.0], left.x_e, atol=1e-12)
+    assert right.lambda_e[0] == pytest.approx(left.lambda_e[0], rel=1e-12)
+
+
+def test_enumeration_reaches_the_hard_case_through_the_null_space():
+    # The fault member (CLF diag(0.5, 2, 0.5)), barrier 2: at t = 2,
+    # Q - t S = diag(-0.5, 0, -7.5) is singular and Q (c_V - c) has no e_2
+    # part, so the roots y = (1, +-s, 0.2) with s^2 = 1 - 0.5 - 4 (0.2)^2
+    # come from the null-space term, with V = 7.8 and lam = t p gamma(V) =
+    # 3.9.  The 16-seed multistart finds only the s < 0 one of the pair.
+    problem = fig1_tuning.build_problem((0.5, 2.0, 0.5))
+    config = replace(fig1_tuning.SEARCH, boundary_seeds=16)
+    s = np.sqrt(0.34)
+    reference = [rep.x_e for rep in multistart_boundary_equilibria(problem, (2,), config)]
+    assert len(reference) == 2
+    assert np.allclose(reference[0], [2.0, -s, 3.2], atol=1e-9)
+    assert np.allclose(reference[1], [2.2629572862, 0.0, 3.2249830252], atol=1e-9)
+    reports = find_boundary_equilibria(problem, (2,), config)
+    assert [rep.validated for rep in reports] == [True] * 3
+    assert np.allclose(reports[0].x_e, [2.0, -s, 3.2], atol=1e-12)
+    assert np.allclose(reports[1].x_e, [2.0, s, 3.2], atol=1e-12)
+    assert np.allclose(reports[2].x_e, reference[1], atol=1e-12)
+    for rep in reports[:2]:
+        assert rep.lambda_e[0] == pytest.approx(3.9, abs=1e-12)
+        assert rep.lambda0_e == pytest.approx(0.25 * 7.8, abs=1e-12)
+
+
+def _filter_problem(drift, shape=np.eye(2), offset=-1.0):
+    """Safety filter on the plane: drift ``drift``, g = I, one obstacle
+    (x - (2, 1))^T ``shape`` (x - (2, 1)) + ``offset``."""
+    return ControlProblem(
+        model=DynamicsModel.linear(drift, np.eye(2)),
+        certificates=CertificateSet(
+            cbfs=(QuadraticCertificate.barrier(shape, [2.0, 1.0], offset),),
+            alphas=(ClassKappa(1.0),)),
+        params=ControllerParams(mode="safety_filter", p=1.0, cost_metric=np.eye(2),
+                                nominal=NominalController.zero(2)))
+
+
+@pytest.mark.parametrize("problem, indices", [
+    # a CLF with a nonzero nominal field: generalized with a gain
+    (next(p for p in interior_sweep(5, reps=1) if p.params.mode == "generalized"),
+     (1,)),
+    # G singular: one input in the plane
+    (_small_problem(None, [[1.0], [0.0]], np.eye(2)), (1,)),
+    # rho <= 0 and a non-definite shape: no boundary to enumerate or sample
+    (_filter_problem(-np.eye(2), offset=0.5), (1,)),
+    (_filter_problem(-np.eye(2), shape=np.diag([1.0, -1.0])), (1,)),
+    # no CLF and F singular: boundary points in its null space have lam = 0
+    (_filter_problem(np.diag([-1.0, 0.0])), (1,)),
+    # w = 0: the CLF centred on the barrier's centre
+    (_small_problem(None, np.eye(2), np.diag([1.0, 2.0]), center=[5.0, 5.0]), (1,)),
+    # two active barriers
+    (load_bundled_scenario("fig1").problem(), (1, 2)),
+])
+def test_searches_outside_the_enumeration_run_the_seeded_multistart(problem, indices):
+    config = SearchConfig(box=[[-4.0, 4.0]] * problem.n, boundary_seeds=16, seed=3)
+    if len(indices) == 1:
+        assert equilibria._boundary_candidates(problem, indices[0]) is None
+    _assert_same_reports(multistart_boundary_equilibria(problem, indices, config),
+                         find_boundary_equilibria(problem, indices, config))
+
+
+def test_one_barrier_reports_ignore_seed_count_and_seed(fig1, deadlock2d, filter2d):
+    # The enumeration draws no seeds: boundary_seeds and seed change
+    # nothing, bit for bit.
+    rng = np.random.default_rng(9)
+    problems = [fig1, deadlock2d, filter2d] + [
+        random_one_barrier_problem(rng, n, 2, mode) for n in (2, 3) for mode in MODES]
+    for problem in problems:
+        box = [[-4.0, 4.0]] * problem.n
+        for i in range(1, problem.n_barriers + 1):
+            first, *rest = [find_boundary_equilibria(problem, (i,), config) for config in (
+                SearchConfig(box=box, boundary_seeds=64, seed=0),
+                SearchConfig(box=box, boundary_seeds=1, seed=91),
+                SearchConfig(box=box, boundary_seeds=0, seed=3))]
+            assert first
+            for other in rest:
+                _assert_same_reports(first, other)
 
 
 # --- lockstep Newton: one batched evaluation per iteration -------------------------
@@ -586,7 +766,8 @@ def test_newton_evaluates_at_most_twice_per_iteration(
     seen = _watch_newton(monkeypatch, [])
     solves = _count_solves(monkeypatch)
     if indices:
-        find_boundary_equilibria(problem, indices, config)
+        # the seeded multistart: enumerated one-barrier starts need no halving
+        multistart_boundary_equilibria(problem, indices, config)
     else:
         find_interior_equilibria(problem, config)
     assert len(seen["runs"]) == 1 and solves
@@ -599,14 +780,14 @@ def test_newton_evaluates_at_most_twice_per_iteration(
 @pytest.mark.parametrize("max_halvings", [8, 0])
 def test_halving_stack_matches_the_reference_halving_one_at_a_time(
         fig1, fig1_scenario, monkeypatch, max_halvings):
-    # fig1 {1} from the bundled seeds: some seeds accept a step only at a
-    # scale <= 1/4, some reject every scale and stop.  Each seed, run alone
-    # through the reference Newton that halves one step at a time, gives
-    # the lockstep root bit for bit, or the same failure.
+    # fig1 {1} from the multistart's 64 bundled seeds: some seeds accept a
+    # step only at a scale <= 1/4, some reject every scale and stop.  Each
+    # seed, run alone through the reference Newton that halves one step at
+    # a time, gives the lockstep root bit for bit, or the same failure.
     seen = _watch_newton(monkeypatch, [])
     solves = _count_solves(monkeypatch)
     config = replace(fig1_scenario.search, max_halvings=max_halvings)
-    find_boundary_equilibria(fig1, (1,), config)
+    multistart_boundary_equilibria(fig1, (1,), config)
     (_, Z0, args, roots), = seen["runs"]
     assert args[-1] == max_halvings
     deep = exhausted = converged = 0

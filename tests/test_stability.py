@@ -39,6 +39,7 @@ from oracles import (
     barrier_gradients,
     deflation_closed_loop_jacobian,
     frozen_multiplier_jacobian,
+    nominal_field,
     verify_factorization,
 )
 
@@ -102,7 +103,7 @@ def _frozen_field(problem, lambda0, lam, indices):
 
     def field(x):
         G = problem.gram()
-        out = problem.f_nom(x) - lambda0 * (G @ certs.clf.gradient(x))
+        out = nominal_field(problem, x) - lambda0 * (G @ certs.clf.gradient(x))
         for k, i in enumerate(indices):
             out = out + lam[k] * (G @ certs.barrier(i).gradient(x))
         return out
